@@ -15,8 +15,9 @@
 // (380-node replay latency clean vs failures vs failures+speculation),
 // -experiment obs writes BENCH_OBS.json (traced-vs-untraced overhead
 // on the hot-loop queries; target ≤3%), -experiment columnar writes
-// BENCH_COLUMNAR.json (batched columnar execution vs the scalar fast
-// engine on the hot-loop queries; target ≥2x exec-pass throughput),
+// BENCH_COLUMNAR.json (the SYMPLE mapper on column-carrying vs row-only
+// segments of the hot-loop queries, plus the record→column conversion
+// cost),
 // -experiment cluster writes BENCH_CLUSTER.json (real
 // coordinator/worker execution over loopback TCP on 1/2/4 spawned
 // worker subprocesses, measured wall clock vs dcsim prediction), and

@@ -7,6 +7,7 @@ import (
 	"os"
 	"runtime"
 	"sort"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/data"
@@ -14,30 +15,35 @@ import (
 	"repro/internal/queries"
 )
 
-// colRounds is the paired-round count: each round runs the scalar fast
-// engine and the columnar batch engine back to back (order alternating)
-// and records the ratio of their exec-pass throughputs, so scheduler
-// and GC drift land on both sides and cancel. Odd, so the median is one
-// round's honest ratio.
+// colRounds is the paired-round count: each round runs the engine on
+// the row-only and the column-carrying segments back to back (order
+// alternating) and records the ratio of their map task times, so
+// scheduler and GC drift land on both sides and cancel. Odd, so the
+// median is one round's honest ratio.
 const colRounds = 15
 
-// Columnar measures the batched execution path — vectorized GroupBy
-// over segment columns, fork-free windows, run-length transition probes
-// — against the scalar fast engine on the hot-loop queries (G1, R1,
-// B2). Both engines run with the same memo configuration over the same
-// segments; the columnar runs read the columns attached to those
-// segments. Every run is digest-checked against the sequential
-// reference, so the speedup is only reported for byte-identical output.
-// Results go to BENCH_COLUMNAR.json; the per-query target for this
-// optimization is ≥2x exec-pass throughput.
+// Columnar measures what attaching the column form to the input buys
+// the one SYMPLE mapper on the hot-loop queries (G1, R1, B2). Both sides
+// run the same engine with the same memo configuration over the same
+// records: on row-only segments the mapper groups through scalarBatch
+// (the scalar GroupBy per record), on column-carrying segments through
+// the query's vectorized GroupByBatch. Everything after grouping — the
+// batched symbolic execution pass, encoding, shuffle, reduce — is
+// shared, so the difference in map task time is the grouping step. The
+// record→column conversion (data.ToColumnar over the whole corpus) is
+// timed on its own, so the table also says how many runs it takes to
+// pay it back. Every run is digest-checked against the sequential
+// reference. Results go to BENCH_COLUMNAR.json.
 func Columnar(d *Datasets, memoSize int) (*Table, error) {
 	t := &Table{
-		Title:  "Columnar batch execution vs scalar fast engine",
-		Header: []string{"Query", "scalar rec/s", "columnar rec/s", "speedup", "run probes", "batch grouped"},
+		Title:  "Column-carrying vs row-only segments on the one SYMPLE mapper",
+		Header: []string{"Query", "rows map ms", "cols map ms", "speedup", "columnarize ms", "break-even runs", "exec rec/s rows", "exec rec/s cols", "run probes"},
 		Notes: []string{
-			fmt.Sprintf("rec/s: symbolic events / timed exec pass, best of %d; speedup: median of per-round paired ratios", colRounds),
+			fmt.Sprintf("map ms: summed map task time, median of %d rounds; speedup: median of per-round paired ratios (rows / cols)", colRounds),
+			"columnarize ms: data.ToColumnar over every segment of the corpus, median of the same rounds",
+			"break-even runs: columnarize ms / (rows map ms - cols map ms); '-' when columns save nothing",
+			"exec rec/s: symbolic events / timed exec pass, best of the rounds — the pass both sides share",
 			"identical memo config both sides; outputs digest-checked against the sequential reference every run",
-			"run probes: runs of identical events folded through one transition probe (powering)",
 			"written to BENCH_COLUMNAR.json",
 		},
 	}
@@ -45,24 +51,29 @@ func Columnar(d *Datasets, memoSize int) (*Table, error) {
 
 	for _, id := range []string{"G1", "R1", "B2"} {
 		spec := queries.ByID(id)
-		segs, err := d.For(spec.Dataset, false)
+		base, err := d.For(spec.Dataset, false)
 		if err != nil {
 			return nil, err
 		}
-		// Attach the columnar form once; it is inert for the scalar runs
-		// (they read Records), so both sides execute the same segments.
-		if segs[0].Columns == nil {
-			data.Columnarize(segs, data.ColSpecFor(spec.Dataset))
+		plan := data.ColSpecFor(spec.Dataset)
+		// Two private views of the same records: one without columns and
+		// one with them, so the shared datasets are never mutated.
+		rows := make([]*mapreduce.Segment, len(base))
+		cols := make([]*mapreduce.Segment, len(base))
+		for i, s := range base {
+			r, c := *s, *s
+			r.Columns = nil
+			c.Columns = data.ToColumnar(s.Records, plan)
+			rows[i], cols[i] = &r, &c
 		}
-		seq, err := spec.Sequential(segs)
+		seq, err := spec.Sequential(rows)
 		if err != nil {
 			return nil, fmt.Errorf("columnar %s sequential: %w", id, err)
 		}
 		conf := mapreduce.Config{NumReducers: 2}
-		runEngine := func(columnar bool) (*queries.Run, error) {
+		run := func(segs []*mapreduce.Segment) (*queries.Run, error) {
 			runtime.GC()
-			r, err := spec.SympleOpts(segs, conf, core.SympleOptions{
-				MemoSize: memoSize, Columnar: columnar})
+			r, err := spec.SympleOpts(segs, conf, core.SympleOptions{MemoSize: memoSize})
 			if err != nil {
 				return nil, err
 			}
@@ -70,59 +81,82 @@ func Columnar(d *Datasets, memoSize int) (*Table, error) {
 				return nil, fmt.Errorf("digest %x (%d results) != sequential %x (%d)",
 					r.Digest, r.NumResults, seq.Digest, seq.NumResults)
 			}
-			if r.Sym.ExecWall <= 0 || r.Sym.Records == 0 {
-				return nil, fmt.Errorf("no exec-pass accounting (records %d, wall %v)",
-					r.Sym.Records, r.Sym.ExecWall)
+			if r.Sym.ExecWall <= 0 || r.Sym.Records == 0 || r.Metrics.MapCPU <= 0 {
+				return nil, fmt.Errorf("no map accounting (records %d, exec %v, map %v)",
+					r.Sym.Records, r.Sym.ExecWall, r.Metrics.MapCPU)
 			}
 			return r, nil
 		}
-		// Warm up pools and caches so neither side is charged for them.
-		if _, err := runEngine(false); err != nil {
-			return nil, fmt.Errorf("columnar %s warmup: %w", id, err)
+		columnarize := func() time.Duration {
+			runtime.GC()
+			t0 := time.Now()
+			for _, s := range rows {
+				data.ToColumnar(s.Records, plan)
+			}
+			return time.Since(t0)
 		}
-		if _, err := runEngine(true); err != nil {
-			return nil, fmt.Errorf("columnar %s warmup: %w", id, err)
+		// Warm up pools and caches so neither side is charged for them.
+		for _, segs := range [][]*mapreduce.Segment{rows, cols} {
+			if _, err := run(segs); err != nil {
+				return nil, fmt.Errorf("columnar %s warmup: %w", id, err)
+			}
 		}
 
 		q := colQuery{Query: id}
 		execRate := func(r *queries.Run) float64 {
 			return float64(r.Sym.Records) / r.Sym.ExecWall.Seconds()
 		}
-		ratios := make([]float64, 0, colRounds)
+		var rowMS, colMS, convMS, ratios []float64
 		for round := 0; round < colRounds; round++ {
-			// Alternate which engine goes first so the first run's debris
+			// Alternate which side goes first so the first run's debris
 			// (GC debt, cache eviction) doesn't always land on one side.
-			var scalar, col *queries.Run
+			var r, c *queries.Run
 			var err error
 			if round%2 == 0 {
-				if scalar, err = runEngine(false); err == nil {
-					col, err = runEngine(true)
+				if r, err = run(rows); err == nil {
+					c, err = run(cols)
 				}
 			} else {
-				if col, err = runEngine(true); err == nil {
-					scalar, err = runEngine(false)
+				if c, err = run(cols); err == nil {
+					r, err = run(rows)
 				}
 			}
 			if err != nil {
 				return nil, fmt.Errorf("columnar %s round %d: %w", id, round, err)
 			}
-			sr, cr := execRate(scalar), execRate(col)
-			ratios = append(ratios, cr/sr)
-			q.ScalarExecRecordsPerSec = math.Max(q.ScalarExecRecordsPerSec, sr)
-			q.ColumnarExecRecordsPerSec = math.Max(q.ColumnarExecRecordsPerSec, cr)
-			q.RunProbes = col.Sym.RunProbes
-			q.Records = col.Sym.Records
+			if r.Sym.Records != c.Sym.Records {
+				return nil, fmt.Errorf("columnar %s: rows fed %d events, cols %d",
+					id, r.Sym.Records, c.Sym.Records)
+			}
+			rm, cm := ms(r.Metrics.MapCPU), ms(c.Metrics.MapCPU)
+			rowMS, colMS = append(rowMS, rm), append(colMS, cm)
+			ratios = append(ratios, rm/cm)
+			convMS = append(convMS, ms(columnarize()))
+			q.RowsExecRecordsPerSec = math.Max(q.RowsExecRecordsPerSec, execRate(r))
+			q.ColsExecRecordsPerSec = math.Max(q.ColsExecRecordsPerSec, execRate(c))
+			q.RunProbes = c.Sym.RunProbes
+			q.Records = c.Sym.Records
 		}
-		sort.Float64s(ratios)
-		q.Speedup = ratios[len(ratios)/2]
+		q.RowsMapMS, q.ColsMapMS = median(rowMS), median(colMS)
+		q.Speedup = median(ratios)
+		q.ColumnarizeMS = median(convMS)
+		breakEven := "-"
+		if saved := q.RowsMapMS - q.ColsMapMS; saved > 0 {
+			runs := q.ColumnarizeMS / saved
+			q.BreakEvenRuns = &runs
+			breakEven = fmt.Sprintf("%.1f", runs)
+		}
 		rep.Queries = append(rep.Queries, q)
 		t.Rows = append(t.Rows, []string{
 			id,
-			fmt.Sprintf("%.0f", q.ScalarExecRecordsPerSec),
-			fmt.Sprintf("%.0f", q.ColumnarExecRecordsPerSec),
+			fmt.Sprintf("%.1f", q.RowsMapMS),
+			fmt.Sprintf("%.1f", q.ColsMapMS),
 			fmtFactor(q.Speedup),
+			fmt.Sprintf("%.1f", q.ColumnarizeMS),
+			breakEven,
+			fmt.Sprintf("%.0f", q.RowsExecRecordsPerSec),
+			fmt.Sprintf("%.0f", q.ColsExecRecordsPerSec),
 			fmt.Sprintf("%d", q.RunProbes),
-			fmt.Sprintf("%d", q.Records),
 		})
 	}
 
@@ -139,15 +173,35 @@ func Columnar(d *Datasets, memoSize int) (*Table, error) {
 	return t, nil
 }
 
+// ms converts a duration to float milliseconds.
+func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+
+// median returns the middle element of xs (sorted in place).
+func median(xs []float64) float64 {
+	sort.Float64s(xs)
+	return xs[len(xs)/2]
+}
+
 type colQuery struct {
-	Query                     string  `json:"query"`
-	ScalarExecRecordsPerSec   float64 `json:"scalar_exec_records_per_sec"`
-	ColumnarExecRecordsPerSec float64 `json:"columnar_exec_records_per_sec"`
-	// Speedup is the median of per-round paired exec-throughput ratios
-	// (columnar / scalar).
-	Speedup float64 `json:"speedup_vs_scalar"`
+	Query string `json:"query"`
+	// RowsMapMS / ColsMapMS are the median summed map task times on
+	// row-only and column-carrying segments.
+	RowsMapMS float64 `json:"rows_map_ms"`
+	ColsMapMS float64 `json:"cols_map_ms"`
+	// Speedup is the median of per-round paired map-time ratios
+	// (rows / cols).
+	Speedup float64 `json:"map_speedup_with_columns"`
+	// ColumnarizeMS is the median time to convert the whole corpus to
+	// the column form; BreakEvenRuns is how many runs its map-time
+	// saving takes to repay it (absent when columns save nothing).
+	ColumnarizeMS float64  `json:"columnarize_ms"`
+	BreakEvenRuns *float64 `json:"break_even_runs,omitempty"`
+	// Exec-pass throughput, best of the rounds, per side: the pass is
+	// the same code on both, so these should agree within noise.
+	RowsExecRecordsPerSec float64 `json:"rows_exec_records_per_sec"`
+	ColsExecRecordsPerSec float64 `json:"cols_exec_records_per_sec"`
 	// RunProbes counts event runs folded through a single transition
-	// probe in one columnar run; Records is the symbolic events executed.
+	// probe in one run; Records is the symbolic events executed.
 	RunProbes int `json:"run_probes"`
 	Records   int `json:"records"`
 }

@@ -20,6 +20,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/data"
 	"repro/internal/mapreduce"
 	"repro/internal/obs"
 	"repro/internal/queries"
@@ -345,9 +346,10 @@ func TestW2WOwnerDeathFailsCleanly(t *testing.T) {
 }
 
 // TestTransportEquivalenceCompressedColumnar covers the knobs that
-// change the bytes on the wire: flate-compressed runs and columnar
-// batched mappers must survive the socket and still hit the golden
-// digests.
+// change the bytes on the wire: flate-compressed runs, segments whose
+// columnar form rides in the assignment (the worker groups through the
+// decoded columns), and combined summaries must survive the socket and
+// still hit the golden digests.
 func TestTransportEquivalenceCompressedColumnar(t *testing.T) {
 	checkGoroutineLeaks(t)
 	golden := readGolden(t)
@@ -355,16 +357,26 @@ func TestTransportEquivalenceCompressedColumnar(t *testing.T) {
 	eps := startWorkers(t, 2)
 	for _, id := range []string{"G1", "B1", "R1"} {
 		spec := queries.ByID(id)
-		segs := datasets[spec.Dataset]
 		for _, mode := range []struct {
 			name     string
 			compress bool
+			columns  bool
 			opt      core.SympleOptions
 		}{
-			{"compressed", true, core.SympleOptions{}},
-			{"columnar", false, core.SympleOptions{Columnar: true}},
-			{"combined", false, core.SympleOptions{Combine: true}},
+			{"compressed", true, false, core.SympleOptions{}},
+			{"columnar", false, true, core.SympleOptions{}},
+			{"combined", false, false, core.SympleOptions{Combine: true}},
 		} {
+			segs := datasets[spec.Dataset]
+			if mode.columns {
+				// Columnar copies, so the other modes keep shipping
+				// row-only segments.
+				segs = make([]*mapreduce.Segment, len(segs))
+				for i, s := range datasets[spec.Dataset] {
+					segs[i] = &mapreduce.Segment{ID: s.ID, Records: s.Records}
+				}
+				data.Columnarize(segs, data.ColSpecFor(spec.Dataset))
+			}
 			t.Run(id+"/"+mode.name, func(t *testing.T) {
 				base := mapreduce.Config{NumReducers: 3, CompressShuffle: mode.compress}
 				pool, err := cluster.NewPool(queries.ClusterSpec(id, base, mode.opt), eps)

@@ -29,8 +29,11 @@ import (
 // partition_done, run_receipt, reduce, reduce_done, job_done) and the
 // extended assignment payload (topology, segment digest). Version 3
 // added the query-service job frames (job_submit, job_accept,
-// job_update, job_result, job_cancel).
-const ProtocolVersion = 3
+// job_update, job_result, job_cancel). Version 4 dropped the columnar
+// flag from the job spec in the assignment and reduce payloads: there
+// is one mapper path, and whether it groups through columns depends on
+// whether the shipped segment carries them.
+const ProtocolVersion = 4
 
 // helloMagic opens every hello payload, guarding against a stray TCP
 // client. Spells "SYMP".

@@ -27,10 +27,9 @@ type JobSpec struct {
 	// every run the worker ships.
 	NumReducers int
 	Compress    bool
-	// Combine, Columnar, MemoSize, and MapParallelism are the
+	// Combine, MemoSize, and MapParallelism are the
 	// core.SympleOptions knobs that affect the map side.
 	Combine        bool
-	Columnar       bool
 	MemoSize       int
 	MapParallelism int
 }
@@ -40,7 +39,6 @@ func appendJobSpec(e *wire.Encoder, s JobSpec) {
 	e.Uvarint(uint64(s.NumReducers))
 	e.Bool(s.Compress)
 	e.Bool(s.Combine)
-	e.Bool(s.Columnar)
 	e.Varint(int64(s.MemoSize))
 	e.Varint(int64(s.MapParallelism))
 }
@@ -51,7 +49,6 @@ func decodeJobSpec(d *wire.Decoder) JobSpec {
 		NumReducers:    int(d.Uvarint()),
 		Compress:       d.Bool(),
 		Combine:        d.Bool(),
-		Columnar:       d.Bool(),
 		MemoSize:       int(d.Varint()),
 		MapParallelism: int(d.Varint()),
 	}

@@ -12,9 +12,9 @@ import (
 
 // Batch is the vectorized GroupBy output for one chunk of rows: the
 // kept rows' events plus, per event, the index of its group key. Keys
-// are interned in first-use order — the same order the scalar per-record
-// loop discovers groups in, so the batch path emits bundles in an
-// identical order and results stay byte-for-byte comparable.
+// are interned in first-use order — the order a per-record GroupBy loop
+// discovers groups in — so GroupByBatch and scalarBatch produce the same
+// Batch and the mapper emits bundles in the same order either way.
 type Batch[E any] struct {
 	// Keys lists the distinct group keys in first-use order.
 	Keys []string
@@ -36,8 +36,8 @@ func (b *Batch[E]) Reset() {
 
 // scalarBatch is the fallback vectorizer: the scalar GroupBy applied
 // per record with map-based key interning. It is what makes GroupByBatch
-// optional — every query runs under SympleOptions.Columnar whether or
-// not it understands columns.
+// and Segment.Columns optional — every query runs on the one batch
+// executor whether or not it, or its input, understands columns.
 func scalarBatch[S sym.State, E, R any](q *Query[S, E, R], records [][]byte, lo, hi int, b *Batch[E]) {
 	b.Reset()
 	idx := make(map[string]int32, 64)
@@ -58,8 +58,7 @@ func scalarBatch[S sym.State, E, R any](q *Query[S, E, R], records [][]byte, lo,
 	}
 }
 
-// batchExec bundles the executor and memo one chunk of the batch path
-// runs with. Pooled per engine run (the sympleMapFunc closure) so the
+// batchExec bundles the executor and memo one chunk runs with. Pooled per engine run (the sympleMapFunc closure) so the
 // memo — whose cached transitions depend only on the schema and update
 // function, never on the chunk — persists across chunks instead of
 // being allocated, rebuilt, and torn down once per chunk, and the
@@ -98,28 +97,23 @@ func (bp *batchExecPool[S, E]) put(be *batchExec[S, E]) {
 	bp.mu.Unlock()
 }
 
-// addStatsDelta folds the growth of one executor's counters between two
-// snapshots into the chunk totals — the pooled executor accumulates
-// across chunks, so a chunk owns only its delta.
-func addStatsDelta(dst *SymStats, cur, prev sym.Stats) {
-	dst.Records += cur.Records - prev.Records
-	dst.Runs += cur.Runs - prev.Runs
-	dst.Merges += cur.Merges - prev.Merges
-	dst.Restarts += cur.Restarts - prev.Restarts
-	dst.MemoHits += cur.MemoHits - prev.MemoHits
-	dst.MemoMisses += cur.MemoMisses - prev.MemoMisses
-	dst.RunProbes += cur.RunProbes - prev.RunProbes
-}
-
-// symExecChunkBatch is the batched symExecChunk: same two passes, same
-// spans, vectorized internals. Pass one fills a Batch — through the
-// query's GroupByBatch over the segment's columns when possible, else
-// through the scalar fallback — and counting-sorts the key-index vector
-// into per-key contiguous event vectors. Pass two feeds each key's
-// vector to the executor's batch API (FeedBatch), which folds runs of
-// identical events through single transition probes and executes quiet
-// stretches in place. ExecWall covers exactly pass two, as in the
-// scalar chunk, so engine throughput stays comparable across paths.
+// symExecChunkBatch is the SYMPLE chunk executor: it runs the symbolic
+// per-key UDA loop over rows [lo, hi) of a segment. Row indices are
+// segment-global, so lastRec carries segment-global record indices and
+// the §5.4 (key, mapperID, recordID) order survives sub-chunking.
+//
+// The chunk runs in two passes. Pass one groups: it fills a Batch —
+// through the query's GroupByBatch over the segment's columns when the
+// segment carries them, else through scalarBatch — and counting-sorts
+// the key-index vector into per-key contiguous event vectors. Pass two
+// executes: it feeds each key's vector to the executor's batch API
+// (FeedBatch), which folds runs of identical events through single
+// transition probes and executes quiet stretches in place. Where the
+// input is cut into batches cannot change the result, because summary
+// composition is associative and exact (§3.6). Keeping grouping out of
+// the symbolic hot loop also lets pass two be timed on its own
+// (stats.ExecWall), so engine throughput can be compared net of the
+// parse cost every engine shares.
 func symExecChunkBatch[S sym.State, E, R any](q *Query[S, E, R], sc *sym.Schema[S], opt SympleOptions, pool *batchExecPool[S, E], seg *mapreduce.Segment, lo, hi int, trace *obs.Trace, mapperID, chunk int) chunkResult[S] {
 	out := chunkResult[S]{}
 	parseSpan := trace.Start(obs.KindMapParse, fmt.Sprintf("parse-%d.%d", mapperID, chunk)).
@@ -172,10 +166,7 @@ func symExecChunkBatch[S sym.State, E, R any](q *Query[S, E, R], sc *sym.Schema[
 	var fast *sym.Executor[S, E]
 	var prev sym.Stats
 	if !opt.SeedExecutor {
-		if pool != nil {
-			be = pool.get()
-		}
-		if be == nil {
+		if be = pool.get(); be == nil {
 			var memo *sym.Memo[S, E]
 			if opt.MemoSize >= 0 {
 				memo = sym.NewMemo[S, E](sc, opt.MemoSize)
@@ -198,7 +189,7 @@ func symExecChunkBatch[S sym.State, E, R any](q *Query[S, E, R], sc *sym.Schema[
 		var err error
 		if opt.SeedExecutor {
 			// The frozen seed engine predates the batch API; feed it
-			// record-at-a-time, as symExecChunk does.
+			// record-at-a-time.
 			x := sym.NewSeedExecutor(q.NewState, q.Update, q.Options)
 			for _, ev := range evs {
 				if err = x.Feed(ev); err != nil {
@@ -211,7 +202,7 @@ func symExecChunkBatch[S sym.State, E, R any](q *Query[S, E, R], sc *sym.Schema[
 			}
 			if err == nil {
 				out.sums = append(out.sums, sums...)
-				addStats(&out.stats, x.Stats())
+				addStats(&out.stats, x.Stats(), sym.Stats{})
 			}
 		} else {
 			var done bool
@@ -238,17 +229,13 @@ func symExecChunkBatch[S sym.State, E, R any](q *Query[S, E, R], sc *sym.Schema[
 		out.sumOff = append(out.sumOff, int32(len(out.sums)))
 	}
 	if fast != nil {
-		addStatsDelta(&out.stats, fast.Stats(), prev)
+		addStats(&out.stats, fast.Stats(), prev)
 	}
 	out.stats.ExecWall = time.Since(start)
 	execSpan.End()
 	if be != nil {
 		be.used = needReset
-		if pool != nil {
-			pool.put(be)
-		} else if be.memo != nil {
-			be.memo.Release()
-		}
+		pool.put(be)
 	}
 	return out
 }

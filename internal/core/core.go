@@ -43,8 +43,8 @@ const (
 	// record-transition cache vs records that required path exploration.
 	MetricMemoHits   = "memo_hits"
 	MetricMemoMisses = "memo_misses"
-	// MetricMemoRunProbes counts runs of identical events the batch path
-	// handled with a single transition probe (SympleOptions.Columnar).
+	// MetricMemoRunProbes counts runs of identical events the mapper
+	// handled with a single transition probe.
 	MetricMemoRunProbes = "memo_run_probes"
 )
 
@@ -116,8 +116,8 @@ type SymStats struct {
 	// (both zero when memoization is off).
 	MemoHits   int
 	MemoMisses int
-	// RunProbes counts runs of identical events the batch path folded
-	// through a single transition probe (zero outside Columnar runs).
+	// RunProbes counts runs of identical events the mapper folded
+	// through a single transition probe (zero on the seed executor).
 	RunProbes int
 	// ExecWall is the wall time spent inside the symbolic-execution pass
 	// of the map chunks (feeding grouped events and finishing executors),
@@ -270,8 +270,13 @@ type SympleOptions struct {
 	// are identical either way.
 	Combine bool
 	// Tree composes each group's summaries at the reducer as a parallel
-	// binary tree (RunSympleTree's strategy) instead of applying them
-	// left-to-right onto the concrete state.
+	// binary tree instead of applying them left-to-right onto the
+	// concrete state (§3.6: composition is associative, so adjacent
+	// summaries can be pre-composed pairwise in parallel and the single
+	// result applied once). For groups with many summaries this trades
+	// extra total work — summary composition is a cross product — for
+	// reduction-depth parallelism, worthwhile when a single group
+	// dominates a reducer, as in B1.
 	Tree bool
 	// MemoSize bounds the per-mapper record-transition cache: records
 	// whose projected event was seen before skip path exploration and
@@ -292,14 +297,6 @@ type SympleOptions struct {
 	// (sym.SeedExecutor): the equivalence oracle and the baseline the
 	// symexec benchmark measures against. Disables memoization.
 	SeedExecutor bool
-	// Columnar runs mappers on the batched execution path: vectorized
-	// grouping (Query.GroupByBatch over Segment.Columns, with a scalar
-	// fallback), counting-sorted per-key event vectors, and the
-	// executor's batch API with run-length transition probes. Results
-	// are byte-identical to the scalar path — the batch boundary cannot
-	// change summaries because composition is associative and exact
-	// (§3.6); only the work profile changes.
-	Columnar bool
 }
 
 // RunSymple executes the query with symbolic parallelism: each mapper

@@ -316,7 +316,7 @@ func TestEnginesRejectInvalidState(t *testing.T) {
 	if _, err := RunSymple(q, segs, mapreduce.Config{}); err == nil {
 		t.Error("symple accepted invalid state")
 	}
-	if _, err := RunSympleTree(q, segs, mapreduce.Config{}); err == nil {
+	if _, err := RunSympleOpts(q, segs, mapreduce.Config{}, SympleOptions{Tree: true}); err == nil {
 		t.Error("symple-tree accepted invalid state")
 	}
 }

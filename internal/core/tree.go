@@ -11,22 +11,8 @@ import (
 	"repro/internal/wire"
 )
 
-// RunSympleTree is RunSymple with the reducer's composition restructured
-// as a parallel binary tree (paper §3.6: function composition is
-// associative, so rather than apply summaries to the running state one
-// by one, adjacent summaries can be pre-composed pairwise in parallel
-// and the single resulting summary applied once).
-//
-// For groups with many summaries this trades extra total work (summary
-// composition is a cross product) for reduction-depth parallelism —
-// worthwhile when a single group dominates a reducer, as in B1. The
-// ablation benchmarks compare both strategies.
-func RunSympleTree[S sym.State, E, R any](q *Query[S, E, R], segments []*mapreduce.Segment, conf mapreduce.Config) (*Output[R], error) {
-	return RunSympleOpts(q, segments, conf, SympleOptions{Tree: true})
-}
-
 // chunkResult is one sub-chunk's symbolic output: per-key ordered
-// summary lists plus the work counters, produced by symExecChunk. The
+// summary lists plus the work counters, produced by symExecChunkBatch. The
 // per-key data is order-aligned slices, not maps — the executors emit
 // keys in a known order, so the timed execution pass appends instead of
 // hashing, and the stitcher walks the arena by offset.
@@ -48,119 +34,31 @@ func (c *chunkResult[S]) keySums(i int) []*sym.Summary[S] {
 	return c.sums[c.sumOff[i]:c.sumOff[i+1]]
 }
 
-// symExecChunk runs the symbolic per-key UDA loop over one contiguous
-// slice of a segment's records. base is the slice's offset within the
-// segment, so lastRec carries segment-global record indices and the §5.4
-// (key, mapperID, recordID) order survives sub-chunking.
-//
-// The chunk runs in two passes. Pass one parses: GroupBy every record
-// and batch the events per key, in record order. Pass two executes: one
-// executor per key consumes its batch in a tight Feed loop. Batching
-// keeps the per-record map lookups out of the symbolic hot loop and lets
-// the execution pass be timed on its own (stats.ExecWall), so engine
-// throughput can be compared net of the parse cost every engine shares.
-func symExecChunk[S sym.State, E, R any](q *Query[S, E, R], sc *sym.Schema[S], opt SympleOptions, records [][]byte, base int, trace *obs.Trace, mapperID, chunk int) chunkResult[S] {
-	out := chunkResult[S]{}
-	type batch struct {
-		events []E
-		last   int64 // segment-global index of the key's last record
-	}
-	parseSpan := trace.Start(obs.KindMapParse, fmt.Sprintf("parse-%d.%d", mapperID, chunk)).
-		Attr(obs.AttrTask, int64(mapperID)).Attr(obs.AttrChunk, int64(chunk)).
-		Attr(obs.AttrRecords, int64(len(records)))
-	batches := make(map[string]*batch)
-	for i, rec := range records {
-		key, ev, ok := q.GroupBy(rec)
-		if !ok {
-			continue
-		}
-		b := batches[key]
-		if b == nil {
-			b = &batch{}
-			batches[key] = b
-			out.order = append(out.order, key)
-		}
-		b.events = append(b.events, ev)
-		b.last = int64(base + i)
-	}
-	parseSpan.Attr(obs.AttrGroups, int64(len(out.order))).End()
-	out.sums = make([]*sym.Summary[S], 0, len(out.order))
-	out.sumOff = make([]int32, 1, len(out.order)+1)
-	out.lastRec = make([]int64, 0, len(out.order))
-
-	// One memo serves every key of this chunk: transitions are built
-	// from the fully symbolic state, so they are key-independent. The
-	// memo is single-goroutine (each chunk owns its own); only the
-	// schema pool is shared across chunks.
-	var memo *sym.Memo[S, E]
-	if !opt.SeedExecutor && opt.MemoSize >= 0 {
-		memo = sym.NewMemo[S, E](sc, opt.MemoSize)
-	}
-	start := time.Now()
-	execSpan := trace.Start(obs.KindMapExec, fmt.Sprintf("exec-%d.%d", mapperID, chunk)).
-		Attr(obs.AttrTask, int64(mapperID)).Attr(obs.AttrChunk, int64(chunk)).
-		Attr(obs.AttrGroups, int64(len(out.order)))
-	// One resettable executor serves every key of the chunk (its Stats
-	// accumulate across keys); the seed engine has no Reset and is
-	// constructed per key, as the pre-optimization mapper did.
-	var fast *sym.Executor[S, E]
-	if !opt.SeedExecutor {
-		fast = sym.NewSchemaExecutor(sc, q.Update, q.Options).WithMemo(memo)
-	}
-	for i, key := range out.order {
-		b := batches[key]
-		var err error
-		if opt.SeedExecutor {
-			x := sym.NewSeedExecutor(q.NewState, q.Update, q.Options)
-			for _, ev := range b.events {
-				if err = x.Feed(ev); err != nil {
-					break
-				}
-			}
-			var sums []*sym.Summary[S]
-			if err == nil {
-				sums, err = x.Finish()
-			}
-			if err == nil {
-				out.sums = append(out.sums, sums...)
-				addStats(&out.stats, x.Stats())
-			}
-		} else {
-			if i > 0 {
-				fast.Reset()
-			}
-			if err = fast.FeedAll(b.events); err == nil {
-				out.sums, err = fast.FinishInto(out.sums)
-			}
-		}
-		if err != nil {
-			out.err = fmt.Errorf("key %q: %w", key, err)
-			execSpan.Tag("outcome", "error").End()
-			return out
-		}
-		out.sumOff = append(out.sumOff, int32(len(out.sums)))
-		out.lastRec = append(out.lastRec, b.last)
-	}
-	if fast != nil {
-		addStats(&out.stats, fast.Stats())
-	}
-	out.stats.ExecWall = time.Since(start)
-	execSpan.End()
-	if memo != nil {
-		memo.Release()
-	}
-	return out
+// addStats folds the growth of one executor's counters between two
+// snapshots into the chunk totals — a pooled executor accumulates
+// across chunks, so a chunk owns only its delta (prev is zero for a
+// fresh executor).
+func addStats(dst *SymStats, cur, prev sym.Stats) {
+	dst.Records += cur.Records - prev.Records
+	dst.Runs += cur.Runs - prev.Runs
+	dst.Merges += cur.Merges - prev.Merges
+	dst.Restarts += cur.Restarts - prev.Restarts
+	dst.MemoHits += cur.MemoHits - prev.MemoHits
+	dst.MemoMisses += cur.MemoMisses - prev.MemoMisses
+	dst.RunProbes += cur.RunProbes - prev.RunProbes
 }
 
-// addStats folds one executor's counters into the chunk totals.
-func addStats(dst *SymStats, st sym.Stats) {
-	dst.Records += st.Records
-	dst.Runs += st.Runs
-	dst.Merges += st.Merges
-	dst.Restarts += st.Restarts
-	dst.MemoHits += st.MemoHits
-	dst.MemoMisses += st.MemoMisses
-	dst.RunProbes += st.RunProbes
+// add folds o's counters into s.
+func (s *SymStats) add(o SymStats) {
+	s.Records += o.Records
+	s.Runs += o.Runs
+	s.Merges += o.Merges
+	s.Restarts += o.Restarts
+	s.Summaries += o.Summaries
+	s.MemoHits += o.MemoHits
+	s.MemoMisses += o.MemoMisses
+	s.RunProbes += o.RunProbes
+	s.ExecWall += o.ExecWall
 }
 
 // splitChunks cuts n records into at most p contiguous chunks of
@@ -192,10 +90,7 @@ func sympleMapFunc[S sym.State, E, R any](q *Query[S, E, R], sc *sym.Schema[S], 
 	// transitions depend only on the schema and update function, so the
 	// memo built by early chunks answers probes for every later chunk,
 	// and reused executors keep identity caches and summary blocks warm.
-	var pool *batchExecPool[S, E]
-	if opt.Columnar && !opt.SeedExecutor {
-		pool = &batchExecPool[S, E]{}
-	}
+	pool := &batchExecPool[S, E]{}
 	return func(mapperID int, seg *mapreduce.Segment, emit mapreduce.Emit) error {
 		p := opt.MapParallelism
 		if p < 1 {
@@ -204,10 +99,7 @@ func sympleMapFunc[S sym.State, E, R any](q *Query[S, E, R], sc *sym.Schema[S], 
 		starts := splitChunks(len(seg.Records), p)
 		outs := make([]chunkResult[S], len(starts))
 		runChunk := func(ci, start, end int) chunkResult[S] {
-			if opt.Columnar {
-				return symExecChunkBatch(q, sc, opt, pool, seg, start, end, trace, mapperID, ci)
-			}
-			return symExecChunk(q, sc, opt, seg.Records[start:end], start, trace, mapperID, ci)
+			return symExecChunkBatch(q, sc, opt, pool, seg, start, end, trace, mapperID, ci)
 		}
 		if len(starts) == 1 {
 			outs[0] = runChunk(0, 0, len(seg.Records))
@@ -231,14 +123,7 @@ func sympleMapFunc[S sym.State, E, R any](q *Query[S, E, R], sc *sym.Schema[S], 
 			if err := outs[ci].err; err != nil {
 				return err
 			}
-			local.Records += outs[ci].stats.Records
-			local.Runs += outs[ci].stats.Runs
-			local.Merges += outs[ci].stats.Merges
-			local.Restarts += outs[ci].stats.Restarts
-			local.MemoHits += outs[ci].stats.MemoHits
-			local.MemoMisses += outs[ci].stats.MemoMisses
-			local.RunProbes += outs[ci].stats.RunProbes
-			local.ExecWall += outs[ci].stats.ExecWall
+			local.add(outs[ci].stats)
 		}
 
 		// Stitch: per key, concatenate the chunks' ordered summary lists
@@ -310,15 +195,7 @@ func sympleMapFunc[S sym.State, E, R any](q *Query[S, E, R], sc *sym.Schema[S], 
 			lreg.MergeInto(reg)
 		}
 		mu.Lock()
-		stats.Records += local.Records
-		stats.Runs += local.Runs
-		stats.Merges += local.Merges
-		stats.Restarts += local.Restarts
-		stats.Summaries += local.Summaries
-		stats.MemoHits += local.MemoHits
-		stats.MemoMisses += local.MemoMisses
-		stats.RunProbes += local.RunProbes
-		stats.ExecWall += local.ExecWall
+		stats.add(local)
 		mu.Unlock()
 		return nil
 	}

@@ -20,7 +20,7 @@ func TestTreeEngineAgreesMax(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tree, err := RunSympleTree(q, segs, mapreduce.Config{NumReducers: 3})
+		tree, err := RunSympleOpts(q, segs, mapreduce.Config{NumReducers: 3}, SympleOptions{Tree: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -45,7 +45,7 @@ func TestTreeEngineAgreesSessions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree, err := RunSympleTree(q, segs, mapreduce.Config{NumReducers: 2})
+	tree, err := RunSympleOpts(q, segs, mapreduce.Config{NumReducers: 2}, SympleOptions{Tree: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestTreeEngineWithRestarts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree, err := RunSympleTree(q, segs, mapreduce.Config{NumReducers: 1})
+	tree, err := RunSympleOpts(q, segs, mapreduce.Config{NumReducers: 1}, SympleOptions{Tree: true})
 	if err != nil {
 		t.Fatal(err)
 	}

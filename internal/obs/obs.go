@@ -112,9 +112,9 @@ const (
 	// AttrWorker identifies the cluster worker a span executed on
 	// (w2w reduce placement); in-process spans don't set it.
 	AttrWorker = "worker"
-	// AttrBatchRecords is the number of events a batched map chunk kept
-	// after vectorized grouping (its parse and exec spans carry the same
-	// value; scalar chunks don't set it).
+	// AttrBatchRecords is the number of events a SYMPLE map chunk kept
+	// after grouping (its parse and exec spans carry the same
+	// value; the baseline engine's parse spans don't set it).
 	AttrBatchRecords = "batch_records"
 	// AttrSegments, AttrCachedSegments, and AttrMappedSegments carry a
 	// serve job's fold provenance on its root span: how many input

@@ -49,7 +49,9 @@ func chaosSeedCount(t *testing.T, def int) int {
 // chaosDatasets generates reduced corpora so a wide seed sweep stays
 // fast; seeds differ from smallDatasets so the two suites cannot mask
 // each other's generator assumptions. Segments carry their columnar
-// form (Columnar: true) so half the sweep can run the batch path.
+// form (Columnar: true); the sweeps strip it on half their seeds so
+// both grouping steps — GroupByBatch over columns and scalarBatch over
+// rows — run under faults.
 func chaosDatasets() map[string][]*mapreduce.Segment {
 	return map[string][]*mapreduce.Segment{
 		"github": data.GenGithub(data.GithubConfig{
@@ -126,13 +128,14 @@ func TestChaosQueriesDifferential(t *testing.T) {
 				// Half the sweep ships flate-compressed segments, so fault
 				// recovery and the compressed wire path are tested together.
 				conf.CompressShuffle = seed%2 == 0
-				// The other half runs the columnar batch path, so task
-				// retries and speculation replay batched mappers too.
-				run := spec.Symple
+				// The other half strips the columns, so task retries and
+				// speculation replay mappers grouping through either
+				// input form.
+				in := segs
 				if seed%2 == 1 {
-					run = spec.SympleColumnar
+					in = stripColumns(segs)
 				}
-				got, err := run(segs, conf)
+				got, err := spec.Symple(in, conf)
 				if err != nil {
 					t.Fatalf("seed %d: chaos run failed (final attempts are spared; this must succeed): %v", seed, err)
 				}
@@ -243,9 +246,13 @@ func TestClusterChaosDifferential(t *testing.T) {
 			for seed := 0; seed < seeds; seed++ {
 				conf := chaosConf(nil)
 				conf.CompressShuffle = seed%2 == 0
-				// Odd seeds run the columnar batch path on the worker,
-				// riding the colcodec payload in the assignment.
-				opt := core.SympleOptions{Columnar: seed%2 == 1}
+				// Odd seeds group through the columns on the worker,
+				// riding the colcodec payload in the assignment; even
+				// seeds ship row-only segments and group scalar.
+				in := segs
+				if seed%2 == 0 {
+					in = stripColumns(segs)
+				}
 				plan := cluster.NewChaosPlan(int64(seed*53+qi), conf.MaxAttempts)
 				popts := []cluster.PoolOption{cluster.WithChaos(plan)}
 				// Even seeds run the w2w topology, so peer-conn drops and
@@ -256,7 +263,7 @@ func TestClusterChaosDifferential(t *testing.T) {
 					popts = append(popts, cluster.WithW2W())
 				}
 				pool, err := cluster.NewPool(
-					ClusterSpec(id, conf, opt), eps, popts...)
+					ClusterSpec(id, conf, core.SympleOptions{}), eps, popts...)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -264,7 +271,7 @@ func TestClusterChaosDifferential(t *testing.T) {
 				if w2w {
 					conf.RemoteReduce = pool
 				}
-				got, err := spec.SympleOpts(segs, conf, opt)
+				got, err := spec.Symple(in, conf)
 				pool.Close()
 				injected += plan.Injected()
 				if err != nil {

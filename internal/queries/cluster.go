@@ -23,7 +23,6 @@ func registerClusterJob[S sym.State, E, R any](id string, q *core.Query[S, E, R]
 	cluster.RegisterJob(id, func(spec cluster.JobSpec, trace *obs.Trace) (mapreduce.MapFunc, error) {
 		return core.SympleMapper(q, core.SympleOptions{
 			Combine:        spec.Combine,
-			Columnar:       spec.Columnar,
 			MemoSize:       spec.MemoSize,
 			MapParallelism: spec.MapParallelism,
 		}, trace)
@@ -52,7 +51,6 @@ func ClusterSpec(id string, conf mapreduce.Config, opt core.SympleOptions) clust
 		NumReducers:    conf.NumReducers,
 		Compress:       conf.CompressShuffle,
 		Combine:        opt.Combine,
-		Columnar:       opt.Columnar,
 		MemoSize:       opt.MemoSize,
 		MapParallelism: opt.MapParallelism,
 	}

@@ -11,7 +11,7 @@ import (
 
 // columnarDatasets is smallDatasets with the columnar form attached to
 // every segment — the corpora the golden digests pin, now carrying
-// columns for the batch path.
+// columns the mapper groups through.
 func columnarDatasets(segments int) map[string][]*mapreduce.Segment {
 	datasets := smallDatasets(segments)
 	for name, segs := range datasets {
@@ -20,20 +20,21 @@ func columnarDatasets(segments int) map[string][]*mapreduce.Segment {
 	return datasets
 }
 
-// TestGoldenDigestsColumnar runs every query through the columnar batch
-// path — vectorized GroupBy over segment columns, batched symbolic
+// TestGoldenDigestsColumnar runs every query through the SYMPLE engine
+// over every segment form its mapper accepts — vectorized GroupBy over
+// segment columns, or scalar grouping over rows, then batched symbolic
 // execution with run-length memo probes — and checks the output against
-// the committed reference digests. The batch boundary must be invisible
-// to query semantics, so there is no -update escape hatch: a divergence
-// here is a batch-execution bug, not a query change. Three variants per
+// the committed reference digests. The input form must be invisible to
+// query semantics, so there is no -update escape hatch: a divergence
+// here is a batch-execution bug, not a query change. Four variants per
 // query:
 //
 //   - columns attached directly by the generator-side converter;
 //   - columns round-tripped through the columnar segment codec
 //     (EncodeColumnar/DecodeColumnar, both raw and flate) — the form a
-//     multi-node shuffle would ship;
-//   - no columns at all, exercising the per-chunk scalar fallback that
-//     the Columnar option must tolerate.
+//     cluster assignment ships;
+//   - no columns at all, exercising the per-chunk scalarBatch fallback
+//     every column-less segment takes.
 //
 // Each run is traced and must pass every obs.Verifier invariant —
 // including the batch-records parse/exec consistency check — so the
@@ -62,7 +63,7 @@ func TestGoldenDigestsColumnar(t *testing.T) {
 			for _, v := range variants {
 				sink := obs.NewMemSink()
 				reg := obs.NewRegistry()
-				run, err := spec.SympleColumnar(v.segs, mapreduce.Config{
+				run, err := spec.Symple(v.segs, mapreduce.Config{
 					NumReducers: 3, Trace: obs.NewTrace(sink), Registry: reg})
 				if err != nil {
 					t.Fatalf("%s: %v", v.name, err)
@@ -115,7 +116,8 @@ func stripColumns(segs []*mapreduce.Segment) []*mapreduce.Segment {
 // summaries compose associatively, so any placement of the batch
 // boundary — segment cuts, intra-mapper chunk splits, or none at all —
 // must reproduce the sequential digest exactly. Sweeps segment counts
-// crossed with map parallelism under the columnar path for every query.
+// crossed with map parallelism over column-carrying segments for every
+// query.
 func TestColumnarBatchBoundaries(t *testing.T) {
 	for _, segments := range []int{1, 4, 9} {
 		datasets := columnarDatasets(segments)
@@ -128,7 +130,7 @@ func TestColumnarBatchBoundaries(t *testing.T) {
 			}
 			for _, par := range []int{1, 3} {
 				got, err := spec.SympleOpts(segs, mapreduce.Config{NumReducers: 2},
-					core.SympleOptions{Columnar: true, MapParallelism: par})
+					core.SympleOptions{MapParallelism: par})
 				if err != nil {
 					t.Fatalf("%s segments=%d par=%d: %v", spec.ID, segments, par, err)
 				}
@@ -141,32 +143,35 @@ func TestColumnarBatchBoundaries(t *testing.T) {
 	}
 }
 
-// TestColumnarMatchesScalarStats pins the batch path's work accounting
-// on one query per symbolic regime: identical records and runs to the
-// scalar engine (the batch boundary moves work between probe kinds, it
-// must never change how many records execute), and run probes occurring
-// where event columns actually repeat.
+// TestColumnarMatchesScalarStats pins the mapper's work accounting on
+// one query per symbolic regime across the two grouping steps: the same
+// segments with columns attached (GroupByBatch) and stripped
+// (scalarBatch) must execute identical records and produce identical
+// digests — the input form moves work between grouping paths, it must
+// never change what executes — and run probes must occur where event
+// columns actually repeat, whichever way the rows were grouped.
 func TestColumnarMatchesScalarStats(t *testing.T) {
 	datasets := columnarDatasets(goldenSegments)
 	for _, id := range []string{"G1", "B2", "R1"} {
 		spec := ByID(id)
 		segs := datasets[spec.Dataset]
-		scalar, err := spec.Symple(segs, mapreduce.Config{NumReducers: 2})
+		cols, err := spec.Symple(segs, mapreduce.Config{NumReducers: 2})
 		if err != nil {
-			t.Fatalf("%s scalar: %v", id, err)
+			t.Fatalf("%s columns: %v", id, err)
 		}
-		batch, err := spec.SympleColumnar(segs, mapreduce.Config{NumReducers: 2})
+		rows, err := spec.Symple(stripColumns(segs), mapreduce.Config{NumReducers: 2})
 		if err != nil {
-			t.Fatalf("%s columnar: %v", id, err)
+			t.Fatalf("%s rows: %v", id, err)
 		}
-		if batch.Sym.Records != scalar.Sym.Records {
-			t.Errorf("%s: batch executed %d records, scalar %d", id, batch.Sym.Records, scalar.Sym.Records)
+		if cols.Sym.Records != rows.Sym.Records {
+			t.Errorf("%s: columns executed %d records, rows %d", id, cols.Sym.Records, rows.Sym.Records)
 		}
-		if id == "R1" && batch.Sym.RunProbes == 0 {
-			t.Errorf("%s: no run probes — unit events must form runs", id)
+		if id == "R1" && (cols.Sym.RunProbes == 0 || rows.Sym.RunProbes == 0) {
+			t.Errorf("%s: run probes columns %d, rows %d — unit events must form runs",
+				id, cols.Sym.RunProbes, rows.Sym.RunProbes)
 		}
-		if batch.Digest != scalar.Digest {
-			t.Errorf("%s: digests diverge: batch %016x scalar %016x", id, batch.Digest, scalar.Digest)
+		if cols.Digest != rows.Digest {
+			t.Errorf("%s: digests diverge: columns %016x rows %016x", id, cols.Digest, rows.Digest)
 		}
 	}
 }

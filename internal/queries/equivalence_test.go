@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/mapreduce"
 )
@@ -38,8 +39,8 @@ func randomChunking(rng *rand.Rand, segs []*mapreduce.Segment, numSegments int) 
 // TestEquivalenceAllEnginesAllQueries is the streaming-shuffle
 // determinism/equivalence gate: for every one of the paper's 12
 // evaluation queries, on randomized chunkings, every engine —
-// Sequential, Baseline, Symple, SympleTree, and Symple with the
-// mapper-side combiner — produces identical results, and the streaming
+// Sequential, Baseline, Symple, Symple with the tree reducer, and Symple
+// with the mapper-side combiner — produces identical results, and the streaming
 // engine matches the retained barrier engine exactly.
 func TestEquivalenceAllEnginesAllQueries(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
@@ -65,8 +66,8 @@ func TestEquivalenceAllEnginesAllQueries(t *testing.T) {
 					{"baseline/barrier", func() (*Run, error) { return spec.Baseline(segs, barrier) }},
 					{"symple", func() (*Run, error) { return spec.Symple(segs, conf) }},
 					{"symple/barrier", func() (*Run, error) { return spec.Symple(segs, barrier) }},
-					{"symple-tree", func() (*Run, error) { return spec.SympleTree(segs, conf) }},
-					{"symple-combined", func() (*Run, error) { return spec.SympleCombined(segs, conf) }},
+					{"symple-tree", func() (*Run, error) { return spec.SympleOpts(segs, conf, core.SympleOptions{Tree: true}) }},
+					{"symple-combined", func() (*Run, error) { return spec.SympleOpts(segs, conf, core.SympleOptions{Combine: true}) }},
 				}
 				for _, eng := range engines {
 					run, err := eng.run()
@@ -97,7 +98,7 @@ func TestCombinerShrinksSummaryTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	combined, err := spec.SympleCombined(segs, conf)
+	combined, err := spec.SympleOpts(segs, conf, core.SympleOptions{Combine: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,18 +42,6 @@ type Spec struct {
 	Baseline   func(segs []*mapreduce.Segment, conf mapreduce.Config) (*Run, error)
 	Symple     func(segs []*mapreduce.Segment, conf mapreduce.Config) (*Run, error)
 
-	// SympleTree composes summaries as a parallel binary tree at
-	// reducers (§3.6); SympleCombined enables the mapper-side combiner
-	// that pre-composes each group's summary list before the shuffle.
-	SympleTree     func(segs []*mapreduce.Segment, conf mapreduce.Config) (*Run, error)
-	SympleCombined func(segs []*mapreduce.Segment, conf mapreduce.Config) (*Run, error)
-
-	// SympleColumnar runs the SYMPLE engine through the columnar batch
-	// path (vectorized GroupBy over segment columns, batched symbolic
-	// execution). Segments without attached columns fall back to the
-	// scalar loop per chunk; results are byte-identical either way.
-	SympleColumnar func(segs []*mapreduce.Segment, conf mapreduce.Config) (*Run, error)
-
 	// SympleWithOptions runs the SYMPLE engine with explicit symbolic
 	// engine options (for the merging / path-cap ablations). Not safe to
 	// call concurrently with the other runners.
@@ -144,15 +132,6 @@ func makeSpec[S sym.State, E, R any](
 		},
 		Symple: func(segs []*mapreduce.Segment, conf mapreduce.Config) (*Run, error) {
 			return wrap(core.RunSymple(q, segs, conf))
-		},
-		SympleTree: func(segs []*mapreduce.Segment, conf mapreduce.Config) (*Run, error) {
-			return wrap(core.RunSympleOpts(q, segs, conf, core.SympleOptions{Tree: true}))
-		},
-		SympleCombined: func(segs []*mapreduce.Segment, conf mapreduce.Config) (*Run, error) {
-			return wrap(core.RunSympleOpts(q, segs, conf, core.SympleOptions{Combine: true}))
-		},
-		SympleColumnar: func(segs []*mapreduce.Segment, conf mapreduce.Config) (*Run, error) {
-			return wrap(core.RunSympleOpts(q, segs, conf, core.SympleOptions{Columnar: true}))
 		},
 		SympleWithOptions: func(segs []*mapreduce.Segment, conf mapreduce.Config, opts sym.Options) (*Run, error) {
 			saved := q.Options

@@ -54,18 +54,21 @@ func TestSympleOptsEquivalence(t *testing.T) {
 }
 
 // TestSympleOptsMemoStats sanity-checks the surfaced counters: a
-// skewed-key query (G1 groups by repo) must report real memo traffic,
-// and a disabled memo must report none.
+// skewed-key query must report real memo traffic, and a disabled memo
+// must report none. R1 is the probe: the batch executor finishes
+// all-identity keys and folds event runs without consulting the memo,
+// which absorbs G1's would-be hits, while R1's per-advertiser vectors
+// still miss and hit the memo between runs.
 func TestSympleOptsMemoStats(t *testing.T) {
-	segs := smallDatasets(4)["github"]
-	on, err := G1().SympleOpts(segs, mapreduce.Config{NumReducers: 3}, core.SympleOptions{})
+	segs := smallDatasets(4)["redshift"]
+	on, err := R1().SympleOpts(segs, mapreduce.Config{NumReducers: 3}, core.SympleOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if on.Sym.MemoHits == 0 {
-		t.Fatalf("G1 with memo reported no hits: %+v", on.Sym)
+		t.Fatalf("R1 with memo reported no hits: %+v", on.Sym)
 	}
-	off, err := G1().SympleOpts(segs, mapreduce.Config{NumReducers: 3}, core.SympleOptions{MemoSize: -1})
+	off, err := R1().SympleOpts(segs, mapreduce.Config{NumReducers: 3}, core.SympleOptions{MemoSize: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,8 +58,10 @@ type Runner interface {
 	NewSession() (Session, error)
 	// SchemaKey names the query schema for cache keying: two jobs share
 	// cached bundles iff their SchemaKeys match. It must change when
-	// anything that affects map output changes (query ID, engine
-	// options like combine/columnar).
+	// anything that affects map output changes (query ID, map-side
+	// engine options such as combine). Whether a segment carries columns
+	// does not count: it changes how the mapper groups, not what it
+	// emits.
 	SchemaKey() string
 }
 

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/mapreduce"
 	"repro/internal/obs"
 	"repro/internal/queries"
 	"repro/internal/serve"
@@ -299,6 +300,56 @@ func TestServeIncrementalAppend(t *testing.T) {
 		if final.CacheHits != len(segs) || final.MappedSegments != 0 {
 			t.Errorf("%s final: cached %d mapped %d, want %d/0",
 				spec.ID, final.CacheHits, final.MappedSegments, len(segs))
+		}
+	}
+}
+
+// TestServeSharedSegmentAcrossDatasets hosts one *Segment in two
+// datasets: every golden corpus in full, then its last segment alone as
+// "<name>-tail". The segment sits at a different position in each, so
+// the server must key its cold-run bundles by its own hosted positions,
+// never by IDs written into the caller's segments — otherwise the full
+// corpus folds the wrong bundles for that segment, and the cache keeps
+// them for every later job. All 12 queries, cold and warm, on both
+// datasets, must match the sequential engine over the same records.
+func TestServeSharedSegmentAcrossDatasets(t *testing.T) {
+	checkGoroutineLeaks(t)
+	srv, addr := startServer(t, serve.Config{})
+	datasets := queries.GoldenDatasets(queries.GoldenSegments)
+	for name, segs := range datasets {
+		srv.AddDataset(name, segs)
+	}
+	for name, segs := range datasets {
+		srv.AddDataset(name+"-tail", segs[len(segs)-1:])
+	}
+	c := dialClient(t, addr)
+	for _, spec := range queries.All() {
+		segs := datasets[spec.Dataset]
+		for _, v := range []struct {
+			dataset string
+			segs    []*mapreduce.Segment
+		}{
+			{spec.Dataset, segs},
+			{spec.Dataset + "-tail", segs[len(segs)-1:]},
+		} {
+			want, err := spec.Sequential(v.segs)
+			if err != nil {
+				t.Fatalf("%s sequential over %s: %v", spec.ID, v.dataset, err)
+			}
+			for _, label := range []string{"cold", "warm"} {
+				got := submitWait(t, c, "shared", spec.ID, v.dataset)
+				if got.Digest != want.Digest || got.NumResults != want.NumResults {
+					t.Errorf("%s %s on %s: digest %016x (%d results), sequential %016x (%d)",
+						label, spec.ID, v.dataset, got.Digest, got.NumResults, want.Digest, want.NumResults)
+				}
+			}
+		}
+	}
+	for name, segs := range datasets {
+		for i, seg := range segs {
+			if seg.ID != i {
+				t.Errorf("%s segment %d: hosting rewrote the caller's ID to %d", name, i, seg.ID)
+			}
 		}
 	}
 }

@@ -81,11 +81,16 @@ func New(cfg Config) *Server {
 }
 
 // AddDataset publishes segs under name, replacing any previous dataset.
-// Segment IDs are rewritten to dataset positions (the fold order).
+// The server hosts shallow copies whose IDs are the dataset positions
+// (the fold order, and the mapper IDs cold runs key bundles by); the
+// caller's segments are never modified, so one segment may be hosted
+// in any number of datasets.
 func (s *Server) AddDataset(name string, segs []*mapreduce.Segment) {
-	d := &dataset{segs: append([]*mapreduce.Segment(nil), segs...), changed: make(chan struct{})}
-	for i, seg := range d.segs {
-		seg.ID = i
+	d := &dataset{segs: make([]*mapreduce.Segment, len(segs)), changed: make(chan struct{})}
+	for i, seg := range segs {
+		cp := *seg
+		cp.ID = i
+		d.segs[i] = &cp
 	}
 	s.mu.Lock()
 	s.datasets[name] = d
@@ -93,7 +98,8 @@ func (s *Server) AddDataset(name string, segs []*mapreduce.Segment) {
 }
 
 // AppendSegment appends one segment to a dataset and wakes its tail
-// jobs. The segment's ID is rewritten to its dataset position.
+// jobs. As in AddDataset, the server hosts a shallow copy whose ID is
+// the segment's dataset position; seg itself is not modified.
 func (s *Server) AppendSegment(name string, seg *mapreduce.Segment) error {
 	s.mu.Lock()
 	d := s.datasets[name]
@@ -101,9 +107,10 @@ func (s *Server) AppendSegment(name string, seg *mapreduce.Segment) error {
 	if d == nil {
 		return fmt.Errorf("serve: unknown dataset %q", name)
 	}
+	cp := *seg
 	d.mu.Lock()
-	seg.ID = len(d.segs)
-	d.segs = append(d.segs, seg)
+	cp.ID = len(d.segs)
+	d.segs = append(d.segs, &cp)
 	close(d.changed)
 	d.changed = make(chan struct{})
 	d.mu.Unlock()

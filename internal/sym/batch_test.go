@@ -177,7 +177,7 @@ func TestFeedBatchEmptyAndErrorStickiness(t *testing.T) {
 
 // BenchmarkBatchExec measures the fork-free window path on a
 // never-forking UDA over a mixed stream — the per-record cost the
-// columnar experiment's exec pass is made of.
+// SYMPLE mapper's exec pass is made of.
 func BenchmarkBatchExec(b *testing.B) {
 	r := rand.New(rand.NewSource(31))
 	stream := runStream(r, 4096, 16, 8)

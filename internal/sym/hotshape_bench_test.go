@@ -5,7 +5,7 @@ import "testing"
 // Benchmarks of the engine on the query shapes the symexec experiment
 // gates on: G1 (a lone SymBool that stays symbolic on the hot event) and
 // R1 (a lone SymInt accumulator). These isolate the per-record engine
-// cost from the parse cost symExecChunk measures around them.
+// cost from the parse cost symExecChunkBatch measures around them.
 
 type g1Shape struct {
 	OnlyPush SymBool

@@ -175,7 +175,7 @@ func RunSymple[S State, E, R any](q *Query[S, E, R], segments []*Segment, conf C
 // RunSympleTree is RunSymple with the reducer composing summaries as a
 // parallel binary tree (paper §3.6).
 func RunSympleTree[S State, E, R any](q *Query[S, E, R], segments []*Segment, conf Config) (*Output[R], error) {
-	return core.RunSympleTree(q, segments, conf)
+	return core.RunSympleOpts(q, segments, conf, core.SympleOptions{Tree: true})
 }
 
 // SympleOptions tunes the SYMPLE engines: a mapper-side combiner
