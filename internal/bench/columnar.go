@@ -61,10 +61,8 @@ func Columnar(d *Datasets, memoSize int) (*Table, error) {
 		rows := make([]*mapreduce.Segment, len(base))
 		cols := make([]*mapreduce.Segment, len(base))
 		for i, s := range base {
-			r, c := *s, *s
-			r.Columns = nil
-			c.Columns = data.ToColumnar(s.Records, plan)
-			rows[i], cols[i] = &r, &c
+			rows[i] = &mapreduce.Segment{ID: s.ID, Records: s.Records}
+			cols[i] = &mapreduce.Segment{ID: s.ID, Records: s.Records, Columns: data.ToColumnar(s.Records, plan)}
 		}
 		seq, err := spec.Sequential(rows)
 		if err != nil {

@@ -21,9 +21,9 @@ const serveRounds = 3
 
 // ServeRun measures the query service's three latency regimes across
 // all 12 queries against a real loopback server: a cold submission
-// that maps every segment, a warm re-submission answered entirely from
-// the segment-summary cache, and an incremental append that folds only
-// the one new segment. Every result is digest-checked against the
+// that maps every segment, a warm re-submission answered from the
+// dataset's standing fold, and an incremental append that folds only
+// the one new segment onto it. Every result is digest-checked against the
 // cold run, the warm run is required to perform zero map work
 // (CacheHits == segments, MappedSegments == 0), and the append run is
 // required to map exactly one segment. Results go to BENCH_SERVE.json.
@@ -61,7 +61,7 @@ func ServeRun(d *Datasets) (*Table, error) {
 		Header: []string{"Query", "cold", "warm", "append", "warm speedup", "append speedup"},
 		Notes: []string{
 			fmt.Sprintf("best of %d rounds over a loopback TCP server; cold rounds flush the segment-summary cache first", serveRounds),
-			"warm: re-submission answered from cache — zero map attempts, asserted per round",
+			"warm: re-submission answered from the standing fold — zero map attempts, asserted per round",
 			"append: one segment appended to a warmed dataset — exactly one segment mapped, asserted per round",
 			"every round digest-checked against the cold result",
 			"written to BENCH_SERVE.json",
@@ -200,9 +200,9 @@ type serveCellResult struct {
 	// Digest is the result digest shared by all three regimes — the
 	// cache and incremental fold must not change answers.
 	Digest uint64 `json:"digest"`
-	// ColdSeconds maps every segment; WarmSeconds answers from cache
-	// alone; AppendSeconds folds exactly one new segment into a warmed
-	// dataset. Each is the best round.
+	// ColdSeconds maps every segment; WarmSeconds answers from the
+	// standing fold alone; AppendSeconds folds exactly one new segment
+	// onto a warmed dataset's fold. Each is the best round.
 	ColdSeconds   float64 `json:"cold_seconds"`
 	WarmSeconds   float64 `json:"warm_seconds"`
 	AppendSeconds float64 `json:"append_seconds"`

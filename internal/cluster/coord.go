@@ -120,7 +120,6 @@ type Pool struct {
 	lastEp     map[int]Endpoint             // task → endpoint of the latest dispatched attempt
 	epSegs     map[Endpoint]map[uint64]bool // segments acknowledged cached per endpoint
 	segs       map[int]*mapreduce.Segment   // task → segment, retained for w2w refills
-	segDigests map[*mapreduce.Segment]uint64
 	placements []Placement
 	procs      map[string]int // worker addr → GOMAXPROCS, from map-done
 
@@ -171,20 +170,19 @@ func NewPool(spec JobSpec, endpoints []Endpoint, opts ...PoolOption) (*Pool, err
 		return nil, errors.New("cluster: pool needs at least one worker endpoint")
 	}
 	p := &Pool{
-		spec:       spec,
-		jobID:      uint64(os.Getpid())<<20 ^ jobSeq.Add(1),
-		endpoints:  endpoints,
-		epIndex:    make(map[Endpoint]int, len(endpoints)),
-		free:       make(chan *workerConn, len(endpoints)),
-		dead:       make(chan struct{}),
-		conns:      map[*workerConn]struct{}{},
-		lastEp:     map[int]Endpoint{},
-		epSegs:     map[Endpoint]map[uint64]bool{},
-		segs:       map[int]*mapreduce.Segment{},
-		segDigests: map[*mapreduce.Segment]uint64{},
-		procs:      map[string]int{},
-		rconns:     map[int]*ownerConn{},
-		live:       len(endpoints),
+		spec:      spec,
+		jobID:     uint64(os.Getpid())<<20 ^ jobSeq.Add(1),
+		endpoints: endpoints,
+		epIndex:   make(map[Endpoint]int, len(endpoints)),
+		free:      make(chan *workerConn, len(endpoints)),
+		dead:      make(chan struct{}),
+		conns:     map[*workerConn]struct{}{},
+		lastEp:    map[int]Endpoint{},
+		epSegs:    map[Endpoint]map[uint64]bool{},
+		segs:      map[int]*mapreduce.Segment{},
+		procs:     map[string]int{},
+		rconns:    map[int]*ownerConn{},
+		live:      len(endpoints),
 	}
 	for i, ep := range endpoints {
 		p.epIndex[ep] = i
@@ -485,46 +483,24 @@ func (p *Pool) WorkerProcs() map[string]int {
 	return out
 }
 
-// segmentDigest content-addresses a segment (FNV-1a over ID, records,
-// and columnar presence), memoizing per pointer — segments are
-// immutable once built. Zero is reserved for "no digest".
-func (p *Pool) segmentDigest(seg *mapreduce.Segment) uint64 {
-	p.mu.Lock()
-	if d, ok := p.segDigests[seg]; ok {
-		p.mu.Unlock()
-		return d
-	}
-	p.mu.Unlock()
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xFF
-			h *= prime64
-			v >>= 8
-		}
-	}
-	mix(uint64(seg.ID))
-	mix(uint64(len(seg.Records)))
-	for _, r := range seg.Records {
-		mix(uint64(len(r)))
-		for _, b := range r {
-			h ^= uint64(b)
-			h *= prime64
-		}
-	}
+// segmentDigest names a segment in the workers' segment caches: its
+// content digest (memoized on the segment, so a pool per job does not
+// re-hash the corpus) mixed with the ID — the mapper ID the map output
+// depends on — and whether the columnar form ships with it. Zero is
+// reserved for "no digest".
+func segmentDigest(seg *mapreduce.Segment) uint64 {
+	var cols uint64
 	if seg.Columns != nil {
-		mix(1)
+		cols = 1
+	}
+	h := seg.Digest()
+	for _, v := range [2]uint64{uint64(seg.ID), cols} {
+		h = (h ^ v) * 1099511628211 // FNV 64-bit prime
+		h ^= h >> 32
 	}
 	if h == 0 {
 		h = 1
 	}
-	p.mu.Lock()
-	p.segDigests[seg] = h
-	p.mu.Unlock()
 	return h
 }
 
@@ -555,7 +531,7 @@ func (p *Pool) RunMap(ctx context.Context, task, attempt int, seg *mapreduce.Seg
 		// nearest equivalent worker-side death.
 		kind = ChaosWorkerAbort
 	}
-	digest := p.segmentDigest(seg)
+	digest := segmentDigest(seg)
 	if p.w2w {
 		// Retain the segment: a dead reduce owner is refilled by
 		// re-running this task's committed attempt.
@@ -864,7 +840,7 @@ func (p *Pool) refill(ctx context.Context, part int, missing []taskAttempt) erro
 }
 
 func (p *Pool) refillOne(ctx context.Context, part int, ta taskAttempt, seg *mapreduce.Segment) error {
-	digest := p.segmentDigest(seg)
+	digest := segmentDigest(seg)
 	w, err := p.acquire(ctx, ta.task, ta.attempt, digest)
 	if err != nil {
 		return err

@@ -30,6 +30,18 @@ func SympleMapper[S sym.State, E, R any](q *Query[S, E, R], opt SympleOptions, t
 	if err != nil {
 		return nil, fmt.Errorf("core %q: %w", q.Name, err)
 	}
+	return SympleSchemaMapper(q, sc, opt, trace)
+}
+
+// SympleSchemaMapper is SympleMapper over a caller-owned schema of
+// q.NewState's type. Mappers built over one schema share its pools, so
+// a long-lived caller that builds a mapper per run (the query service)
+// recycles one bounded set of path containers and parked summaries
+// instead of stranding a fresh set per run.
+func SympleSchemaMapper[S sym.State, E, R any](q *Query[S, E, R], sc *sym.Schema[S], opt SympleOptions, trace *obs.Trace) (mapreduce.MapFunc, error) {
+	if err := validateQuery(q); err != nil {
+		return nil, err
+	}
 	var mu sync.Mutex
 	stats := &SymStats{}
 	return sympleMapFunc(q, sc, &mu, stats, opt, trace, nil), nil

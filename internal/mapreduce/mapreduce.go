@@ -30,6 +30,7 @@ package mapreduce
 import (
 	"context"
 	"runtime"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -47,6 +48,10 @@ type Segment struct {
 	// Records stays authoritative — consumers that understand columns
 	// read them, everything else keeps working off the record slice.
 	Columns *Columnar
+
+	// digest memoizes Digest (0 = not yet computed). It makes a Segment
+	// unsafe to copy by value; derive copies with WithID.
+	digest atomic.Uint64
 }
 
 // Bytes returns the total payload size of the segment.

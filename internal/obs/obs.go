@@ -85,10 +85,24 @@ const (
 	// KindQueue covers one serve job's admission wait, from accepted
 	// submit to dispatch. Parented to the serve job root; tags: tenant.
 	KindQueue = "queue_wait"
+	// KindResume covers a serve job's resume from its dataset's
+	// standing fold: the fold lookup and the summary-cache lookups of
+	// the segments past it. Attrs: segments (those the resumed fold
+	// covers).
+	KindResume = "fold_resume"
 	// KindFold covers one serve fold: decoding cached or fresh summary
-	// bundles and streaming them through the composer. Attrs: segments,
-	// groups.
+	// bundles and applying them onto the resumed fold's group states.
+	// Attrs: segments (those folded).
 	KindFold = "fold"
+	// KindFormat covers formatting and digesting a serve fold's result.
+	// Attrs: records (non-empty result lines).
+	KindFormat = "result_format"
+	// KindFrameWrite covers writing one job frame to the client. Name:
+	// frame (job_update or job_result). Attrs: bytes (payload). A
+	// job_update write is a child of its serve job root; the job_result
+	// write happens after the root has ended, so it is a top-level span
+	// with a tenant tag and a job attr naming the root.
+	KindFrameWrite = "frame_write"
 )
 
 // Common attribute keys shared by emitters and the Verifier.
@@ -124,6 +138,9 @@ const (
 	AttrSegments       = "segments"
 	AttrCachedSegments = "cached_segments"
 	AttrMappedSegments = "mapped_segments"
+	// AttrJob names, by span ID, the job root a top-level span belongs
+	// to when it cannot be that root's child (it outlives the root).
+	AttrJob = "job"
 )
 
 // Span is one traced interval (or instant event, when End == Start).

@@ -1,6 +1,9 @@
 package queries
 
 import (
+	"fmt"
+	"maps"
+
 	"repro/internal/core"
 	"repro/internal/mapreduce"
 	"repro/internal/obs"
@@ -10,7 +13,7 @@ import (
 
 // registerServeQuery publishes the query to the serve registry so the
 // long-running query service can fold it incrementally. The serve
-// session uses exactly the batch SYMPLE mapper (default options), so
+// runner uses exactly the batch SYMPLE mapper (default options), so
 // cached bundles are the bytes a batch run shuffles, and reuses the
 // spec's format func through digestResults — the service's digest is
 // Run.Digest for the same data.
@@ -19,14 +22,19 @@ func registerServeQuery[S sym.State, E, R any](
 	q *core.Query[S, E, R],
 	format func(key string, r R) string,
 ) {
-	serve.Register(id, &serveRunner[S, E, R]{id: id, q: q, format: format})
+	sc, err := sym.NewSchema(q.NewState)
+	serve.Register(id, &serveRunner[S, E, R]{id: id, q: q, format: format, sc: sc, scErr: err})
 }
 
-// serveRunner builds fold sessions for one query.
+// serveRunner folds one query. One schema serves all its jobs' cold
+// runs and decodes (a schema is safe for concurrent use), so their
+// pools stay one bounded set per query.
 type serveRunner[S sym.State, E, R any] struct {
 	id     string
 	q      *core.Query[S, E, R]
 	format func(key string, r R) string
+	sc     *sym.Schema[S]
+	scErr  error
 }
 
 // SchemaKey names the map-output schema for cache keying. Serve runs
@@ -34,79 +42,88 @@ type serveRunner[S sym.State, E, R any] struct {
 // key; grow it if serve ever maps under options that change bundles.
 func (r *serveRunner[S, E, R]) SchemaKey() string { return "symple/" + r.id }
 
-func (r *serveRunner[S, E, R]) NewSession() (serve.Session, error) {
-	sc, err := sym.NewSchema(r.q.NewState)
-	if err != nil {
-		return nil, err
+func (r *serveRunner[S, E, R]) Mapper(trace *obs.Trace) (mapreduce.MapFunc, error) {
+	if r.scErr != nil {
+		return nil, r.scErr
 	}
-	return &serveSession[S, E, R]{
-		r:     r,
-		sc:    sc,
-		comps: map[string]*sym.StreamComposer[S]{},
-	}, nil
+	return core.SympleSchemaMapper(r.q, r.sc, core.SympleOptions{}, trace)
 }
 
-// serveSession is one job's standing fold: a StreamComposer per group
-// key, fed one chunk per folded segment. All composers share the
-// session's schema pool with the decoded summaries they consume.
-type serveSession[S sym.State, E, R any] struct {
-	r     *serveRunner[S, E, R]
-	sc    *sym.Schema[S]
-	comps map[string]*sym.StreamComposer[S]
-	// seq is the number of segments folded so far — each composer's
-	// per-key chunk sequence must be dense from 0, so keys absent from a
-	// segment are fed an empty chunk.
-	seq int
-}
-
-func (s *serveSession[S, E, R]) Mapper(trace *obs.Trace) (mapreduce.MapFunc, error) {
-	return core.SympleMapper(s.r.q, core.SympleOptions{}, trace)
-}
-
-func (s *serveSession[S, E, R]) Fold(bundles map[string][]byte) error {
-	for key, data := range bundles {
-		c := s.comps[key]
-		if c == nil {
-			c = sym.NewStreamComposerSchema(s.sc)
-			s.comps[key] = c
-			// Backfill empty chunks for the segments folded before this
-			// key first appeared.
-			for i := 0; i < s.seq; i++ {
-				if _, err := c.Add(i, nil); err != nil {
-					return err
-				}
-			}
+func (r *serveRunner[S, E, R]) Resume(prev serve.Fold) (serve.Session, error) {
+	if r.scErr != nil {
+		return nil, r.scErr
+	}
+	s := &serveSession[S, E, R]{r: r, states: map[string]S{}}
+	if prev != nil {
+		f, ok := prev.(*serveFold[S])
+		if !ok {
+			return nil, fmt.Errorf("query %s: resuming from a foreign fold %T", r.id, prev)
 		}
-		sums, err := s.sc.DecodeSummaryBundle(nil, data)
+		s.n, s.states = f.n, maps.Clone(f.states)
+	}
+	return s, nil
+}
+
+// serveFold is a standing-fold snapshot: each group's concrete state
+// after the first n segments, and the formatted result. The states are
+// shared with the sessions resumed from it and the snapshots they
+// freeze — Apply never mutates its input, and no state is ever handed
+// back to a schema pool — so a snapshot stays valid for as long as
+// anyone holds it.
+type serveFold[S sym.State] struct {
+	n      int
+	states map[string]S
+	res    serve.Result
+}
+
+func (f *serveFold[S]) Segments() int        { return f.n }
+func (f *serveFold[S]) Result() serve.Result { return f.res }
+
+// serveSession extends a snapshot: states starts as a copy of the
+// snapshot's map (sharing its state values), and folding a segment
+// replaces the states of the groups that segment touches. The fold is
+// always in dataset order, so each segment's summaries simply apply
+// onto the previous state — ApplyAll from the initial state, exactly
+// the batch reducer's evaluation, split at segment boundaries.
+type serveSession[S sym.State, E, R any] struct {
+	r      *serveRunner[S, E, R]
+	n      int
+	states map[string]S
+	sums   []*sym.Summary[S] // decode scratch
+}
+
+func (s *serveSession[S, E, R]) Fold(bundles *serve.Bundles) error {
+	for i := range bundles.Len() {
+		key, data := bundles.At(i)
+		sums, err := s.r.sc.DecodeSummaryBundle(s.sums[:0], data)
 		if err != nil {
 			return err
 		}
-		if _, err := c.Add(s.seq, sums); err != nil {
-			return err
+		st, ok := s.states[key]
+		if !ok {
+			st = s.r.q.NewState()
 		}
+		// The summaries are left to the GC, not released: a released
+		// summary parks in the runner's schema until a mapper reuses it.
+		next, err := sym.ApplyAll(st, sums)
+		clear(sums)
+		s.sums = sums[:0]
+		if err != nil {
+			return fmt.Errorf("segment %d group %q: %w", s.n, key, err)
+		}
+		s.states[key] = next
 	}
-	// Keys with no events in this segment still advance their sequence.
-	for key, c := range s.comps {
-		if _, ok := bundles[key]; ok {
-			continue
-		}
-		if _, err := c.Add(s.seq, nil); err != nil {
-			return err
-		}
-	}
-	s.seq++
+	s.n++
 	return nil
 }
 
-func (s *serveSession[S, E, R]) Result() (serve.Result, error) {
-	// Prefix states are live composer state: the queries' Result funcs
-	// are read-only over the final state (they build fresh output
-	// containers), so formatting here does not disturb the fold.
-	results := make(map[string]R, len(s.comps))
-	for key, c := range s.comps {
-		st, _ := c.Prefix()
+func (s *serveSession[S, E, R]) Freeze() serve.Fold {
+	// The queries' Result funcs only read the state (they build fresh
+	// output containers), so formatting leaves the shared states intact.
+	results := make(map[string]R, len(s.states))
+	for key, st := range s.states {
 		results[key] = s.r.q.Result(key, st)
 	}
 	d, n := digestResults(results, s.r.format)
-	return serve.Result{Digest: d, NumResults: n}, nil
+	return &serveFold[S]{n: s.n, states: s.states, res: serve.Result{Digest: d, NumResults: n}}
 }

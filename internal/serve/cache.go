@@ -4,7 +4,6 @@ import (
 	"container/list"
 	"sync"
 
-	"repro/internal/mapreduce"
 	"repro/internal/obs"
 )
 
@@ -33,19 +32,66 @@ type cacheKey struct {
 	schema string
 }
 
-// cacheEntry holds one segment's per-key encoded summary bundles. The
-// bundle map and its buffers are immutable once inserted, so readers
-// keep using an entry safely even after it is evicted mid-fold.
+// Bundles is one segment's per-key encoded summary bundles under one
+// query schema, packed into one exact-size buffer: group i's bundle is
+// keyed keys[i]. A cold run's bundles point into the shuffle's run
+// buffers, which a map per segment would keep alive; packing copies
+// them out, so a cache entry holds its payload and little else.
+// Immutable once built, so readers keep using a set safely even after
+// its cache entry is evicted mid-fold.
+type Bundles struct {
+	keys []string
+	ends []uint32 // bundle i is data[ends[i-1]:ends[i]]
+	data []byte
+}
+
+// packBundles copies one segment's bundles into a Bundles.
+func packBundles(keys []string, vals [][]byte) *Bundles {
+	size := 0
+	for _, v := range vals {
+		size += len(v)
+	}
+	b := &Bundles{keys: keys, ends: make([]uint32, len(vals)), data: make([]byte, 0, size)}
+	for i, v := range vals {
+		b.data = append(b.data, v...)
+		b.ends[i] = uint32(len(b.data))
+	}
+	return b
+}
+
+// Len returns the number of groups.
+func (b *Bundles) Len() int { return len(b.keys) }
+
+// At returns group i's key and encoded summary bundle. The bundle must
+// not be modified.
+func (b *Bundles) At(i int) (key string, bundle []byte) {
+	var start uint32
+	if i > 0 {
+		start = b.ends[i-1]
+	}
+	return b.keys[i], b.data[start:b.ends[i]:b.ends[i]]
+}
+
+// payload is the set's key plus bundle bytes, what the cache bounds.
+func (b *Bundles) payload() int64 {
+	n := int64(len(b.data))
+	for _, k := range b.keys {
+		n += int64(len(k))
+	}
+	return n
+}
+
+// cacheEntry holds one segment's bundles.
 type cacheEntry struct {
 	key     cacheKey
-	bundles map[string][]byte
+	bundles *Bundles
 	bytes   int64
 	elem    *list.Element
 }
 
 // Cache is the segment-summary cache: a byte-bounded LRU from
-// (segment digest, schema key) to encoded summary bundles. All methods
-// are safe for concurrent use.
+// (segment digest, schema key) to a segment's encoded summary bundles.
+// All methods are safe for concurrent use.
 type Cache struct {
 	mu      sync.Mutex
 	cap     int64
@@ -70,9 +116,9 @@ func NewCache(capBytes int64, reg *obs.Registry) *Cache {
 	return &Cache{cap: capBytes, entries: map[cacheKey]*cacheEntry{}, lru: list.New(), reg: reg}
 }
 
-// Get returns the cached bundle map for key, or nil. The returned map
-// is shared and immutable.
-func (c *Cache) Get(key cacheKey) (map[string][]byte, bool) {
+// Get returns the cached bundles for key, or nil. They are shared and
+// immutable.
+func (c *Cache) Get(key cacheKey) (*Bundles, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.entries[key]
@@ -87,14 +133,21 @@ func (c *Cache) Get(key cacheKey) (map[string][]byte, bool) {
 	return e.bundles, true
 }
 
-// Put inserts one segment's bundle map, evicting least-recently-used
-// entries past the byte capacity. The map must not be mutated after
-// insertion. Re-inserting an existing key refreshes its recency.
-func (c *Cache) Put(key cacheKey, bundles map[string][]byte) {
-	var bytes int64
-	for k, v := range bundles {
-		bytes += int64(len(k) + len(v))
-	}
+// addHits counts n segments answered without a lookup: the segments a
+// standing fold covers, which a job resuming from it does not ask the
+// cache for. The counters keep meaning "segments answered from cache".
+func (c *Cache) addHits(n int64) {
+	c.mu.Lock()
+	c.hits += n
+	c.mu.Unlock()
+	c.reg.Counter(MetricCacheHits).Add(n)
+}
+
+// Put inserts one segment's bundles, evicting least-recently-used
+// entries past the byte capacity. Re-inserting an existing key
+// refreshes its recency.
+func (c *Cache) Put(key cacheKey, bundles *Bundles) {
+	bytes := bundles.payload()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.entries[key]; ok {
@@ -126,7 +179,7 @@ func (c *Cache) evictOldest() {
 }
 
 // Flush evicts everything — the chaos eviction-mid-fold fault. Folds
-// already holding an entry's bundle map are unaffected (the map is
+// already holding an entry's bundles are unaffected (they are
 // immutable); the only consequence is future misses.
 func (c *Cache) Flush() {
 	c.mu.Lock()
@@ -144,35 +197,4 @@ func (c *Cache) Stats() CacheStats {
 		Hits: c.hits, Misses: c.misses, Evictions: c.evictions,
 		Entries: len(c.entries), Bytes: c.size,
 	}
-}
-
-// segmentDigest content-addresses a segment: FNV-1a over the record
-// payloads (not the segment ID — two segments with identical bytes
-// share summaries, which is the point of content addressing). Zero is
-// reserved for "no digest".
-func segmentDigest(seg *mapreduce.Segment) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xFF
-			h *= prime64
-			v >>= 8
-		}
-	}
-	mix(uint64(len(seg.Records)))
-	for _, r := range seg.Records {
-		mix(uint64(len(r)))
-		for _, b := range r {
-			h ^= uint64(b)
-			h *= prime64
-		}
-	}
-	if h == 0 {
-		h = 1
-	}
-	return h
 }

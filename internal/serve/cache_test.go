@@ -3,16 +3,15 @@ package serve
 import (
 	"fmt"
 	"testing"
-
-	"repro/internal/mapreduce"
 )
 
-func bundle(n int, size int) map[string][]byte {
-	m := map[string][]byte{}
-	for i := 0; i < n; i++ {
-		m[fmt.Sprintf("k%d", i)] = make([]byte, size)
+func bundle(n int, size int) *Bundles {
+	keys := make([]string, n)
+	vals := make([][]byte, n)
+	for i := range keys {
+		keys[i], vals[i] = fmt.Sprintf("k%d", i), make([]byte, size)
 	}
-	return m
+	return packBundles(keys, vals)
 }
 
 func TestCacheLRUEviction(t *testing.T) {
@@ -56,35 +55,12 @@ func TestCacheFlush(t *testing.T) {
 	if st := c.Stats(); st.Entries != 0 || st.Bytes != 0 || st.Evictions != 5 {
 		t.Fatalf("post-flush stats %+v", st)
 	}
-	// A map handed out before the flush stays usable (immutability).
-	if len(held) != 2 {
-		t.Fatal("flushed entry's bundle map mutated")
+	// Bundles handed out before the flush stay usable (immutability).
+	if held.Len() != 2 {
+		t.Fatal("flushed entry's bundles mutated")
 	}
 	if _, ok := c.Get(cacheKey{digest: 1, schema: "q"}); ok {
 		t.Fatal("flushed entry still resident")
-	}
-}
-
-// TestSegmentDigestContentAddressing pins that the digest depends on
-// record content only — not the segment ID — and separates both
-// content changes and record-boundary changes.
-func TestSegmentDigestContentAddressing(t *testing.T) {
-	recs := [][]byte{[]byte("alpha"), []byte("beta")}
-	a := &mapreduce.Segment{ID: 0, Records: recs}
-	b := &mapreduce.Segment{ID: 7, Records: recs}
-	if segmentDigest(a) != segmentDigest(b) {
-		t.Fatal("digest must ignore segment ID")
-	}
-	mut := &mapreduce.Segment{Records: [][]byte{[]byte("alpha"), []byte("betb")}}
-	if segmentDigest(a) == segmentDigest(mut) {
-		t.Fatal("digest must see content changes")
-	}
-	rebound := &mapreduce.Segment{Records: [][]byte{[]byte("alphab"), []byte("eta")}}
-	if segmentDigest(a) == segmentDigest(rebound) {
-		t.Fatal("digest must see record boundaries")
-	}
-	if segmentDigest(&mapreduce.Segment{}) == 0 {
-		t.Fatal("zero digest is reserved")
 	}
 }
 
@@ -95,5 +71,27 @@ func TestSchemaKeyIsolation(t *testing.T) {
 	c.Put(cacheKey{digest: 42, schema: "q1"}, bundle(1, 8))
 	if _, ok := c.Get(cacheKey{digest: 42, schema: "q2"}); ok {
 		t.Fatal("schema keys must not share entries")
+	}
+}
+
+// TestBundlesPack pins the packed layout: groups come back in insertion
+// order with their own bytes, copied out of the caller's buffers, and a
+// bundle cannot be appended into its neighbour.
+func TestBundlesPack(t *testing.T) {
+	buf := []byte("aaabbbbc")
+	b := packBundles([]string{"x", "y", "z"}, [][]byte{buf[:3], buf[3:7], buf[7:]})
+	buf[0] = '!'
+	want := []struct{ key, val string }{{"x", "aaa"}, {"y", "bbbb"}, {"z", "c"}}
+	if b.Len() != len(want) || b.payload() != 3+8 {
+		t.Fatalf("len %d payload %d, want %d and 11", b.Len(), b.payload(), len(want))
+	}
+	for i, w := range want {
+		k, v := b.At(i)
+		if k != w.key || string(v) != w.val || cap(v) != len(v) {
+			t.Errorf("group %d: %q=%q (cap %d), want %q=%q", i, k, v, cap(v), w.key, w.val)
+		}
+	}
+	if empty := packBundles(nil, nil); empty.Len() != 0 || empty.payload() != 0 {
+		t.Errorf("empty set: len %d payload %d", empty.Len(), empty.payload())
 	}
 }

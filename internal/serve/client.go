@@ -26,8 +26,14 @@ type Client struct {
 
 	mu      sync.Mutex
 	err     error
-	accepts []chan acceptReply // FIFO: server replies in submit order
+	accepts []pendingAccept // FIFO: server replies in submit order
 	jobs    map[uint64]*Job
+}
+
+// pendingAccept is one submit awaiting its admission decision.
+type pendingAccept struct {
+	ch   chan acceptReply
+	tail bool // the job streams updates
 }
 
 // acceptReply is one admission decision delivered to a waiting Submit:
@@ -105,7 +111,7 @@ func (c *Client) Submit(sub cluster.JobSubmit) (*Job, error) {
 		c.mu.Unlock()
 		return nil, c.err
 	}
-	c.accepts = append(c.accepts, ch)
+	c.accepts = append(c.accepts, pendingAccept{ch: ch, tail: sub.Tail})
 	c.mu.Unlock()
 	if err := c.fc.Write(cluster.FrameJobSubmit, cluster.EncodeJobSubmit(sub)); err != nil {
 		return nil, err
@@ -159,8 +165,8 @@ func (c *Client) readLoop() {
 	jobs := c.jobs
 	c.jobs = map[uint64]*Job{}
 	c.mu.Unlock()
-	for _, ch := range accepts {
-		close(ch)
+	for _, pa := range accepts {
+		close(pa.ch)
 	}
 	for _, j := range jobs {
 		j.err = err
@@ -182,22 +188,29 @@ func (c *Client) run() error {
 				return err
 			}
 			c.mu.Lock()
-			var ch chan acceptReply
+			var pa pendingAccept
 			if len(c.accepts) > 0 {
-				ch = c.accepts[0]
+				pa = c.accepts[0]
 				c.accepts = c.accepts[1:]
 			}
 			rep := acceptReply{acc: acc}
-			if ch != nil && acc.OK {
-				rep.job = &Job{Accept: acc, c: c,
-					updates: make(chan cluster.JobUpdate, 1024), done: make(chan struct{})}
+			if pa.ch != nil && acc.OK {
+				// Only tail jobs get an update buffer: a batch job's
+				// Updates channel just closes when it settles.
+				var updates chan cluster.JobUpdate
+				if pa.tail {
+					updates = make(chan cluster.JobUpdate, 1024)
+				} else {
+					updates = make(chan cluster.JobUpdate)
+				}
+				rep.job = &Job{Accept: acc, c: c, updates: updates, done: make(chan struct{})}
 				c.jobs[acc.ID] = rep.job
 			}
 			c.mu.Unlock()
-			if ch == nil {
+			if pa.ch == nil {
 				return fmt.Errorf("serve: unmatched job_accept")
 			}
-			ch <- rep
+			pa.ch <- rep
 		case cluster.FrameJobUpdate:
 			u, err := cluster.DecodeJobUpdate(f.Payload)
 			if err != nil {

@@ -48,11 +48,14 @@ type Server struct {
 	datasets map[string]*dataset
 }
 
-// dataset is one named, append-only segment sequence.
+// dataset is one named, append-only segment sequence and its standing
+// folds. The folds live and die with the dataset: AddDataset under the
+// same name replaces the whole struct, and FlushCache empties them.
 type dataset struct {
 	mu      sync.Mutex
 	segs    []*mapreduce.Segment
 	changed chan struct{} // closed and replaced on every append
+	folds   map[string]Fold
 }
 
 // snapshot returns the current segments (shared slice prefix; segments
@@ -61,6 +64,23 @@ func (d *dataset) snapshot() ([]*mapreduce.Segment, <-chan struct{}) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.segs[:len(d.segs):len(d.segs)], d.changed
+}
+
+// standing returns the schema's standing fold, or nil.
+func (d *dataset) standing(schema string) Fold {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.folds[schema]
+}
+
+// publish makes f the schema's standing fold unless a fold at least as
+// long was published meanwhile.
+func (d *dataset) publish(schema string, f Fold) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if cur := d.folds[schema]; cur == nil || cur.Segments() < f.Segments() {
+		d.folds[schema] = f
+	}
 }
 
 // New returns a server ready to Serve.
@@ -80,17 +100,16 @@ func New(cfg Config) *Server {
 	}
 }
 
-// AddDataset publishes segs under name, replacing any previous dataset.
-// The server hosts shallow copies whose IDs are the dataset positions
-// (the fold order, and the mapper IDs cold runs key bundles by); the
-// caller's segments are never modified, so one segment may be hosted
-// in any number of datasets.
+// AddDataset publishes segs under name, replacing any previous dataset
+// together with its standing folds. The server hosts copies whose IDs
+// are the dataset positions (the fold order, and the mapper IDs cold
+// runs key bundles by), and computes each segment's content digest here,
+// once; the caller's segments are never modified apart from that
+// digest memo, so one segment may be hosted in any number of datasets.
 func (s *Server) AddDataset(name string, segs []*mapreduce.Segment) {
-	d := &dataset{segs: make([]*mapreduce.Segment, len(segs)), changed: make(chan struct{})}
+	d := &dataset{segs: make([]*mapreduce.Segment, len(segs)), changed: make(chan struct{}), folds: map[string]Fold{}}
 	for i, seg := range segs {
-		cp := *seg
-		cp.ID = i
-		d.segs[i] = &cp
+		d.segs[i] = seg.WithID(i)
 	}
 	s.mu.Lock()
 	s.datasets[name] = d
@@ -98,8 +117,10 @@ func (s *Server) AddDataset(name string, segs []*mapreduce.Segment) {
 }
 
 // AppendSegment appends one segment to a dataset and wakes its tail
-// jobs. As in AddDataset, the server hosts a shallow copy whose ID is
-// the segment's dataset position; seg itself is not modified.
+// jobs. As in AddDataset, the server hosts a copy whose ID is the
+// segment's dataset position and digests it once. The dataset's
+// standing folds stay valid: they cover a prefix, and the next job
+// folds only what lies past it.
 func (s *Server) AppendSegment(name string, seg *mapreduce.Segment) error {
 	s.mu.Lock()
 	d := s.datasets[name]
@@ -107,10 +128,8 @@ func (s *Server) AppendSegment(name string, seg *mapreduce.Segment) error {
 	if d == nil {
 		return fmt.Errorf("serve: unknown dataset %q", name)
 	}
-	cp := *seg
 	d.mu.Lock()
-	cp.ID = len(d.segs)
-	d.segs = append(d.segs, &cp)
+	d.segs = append(d.segs, seg.WithID(len(d.segs)))
 	close(d.changed)
 	d.changed = make(chan struct{})
 	d.mu.Unlock()
@@ -123,10 +142,19 @@ func (s *Server) dataset(name string) *dataset {
 	return s.datasets[name]
 }
 
-// FlushCache evicts the whole summary cache — the chaos
-// eviction-mid-fold hook (cluster.ChaosServeEvict) and an operational
-// escape hatch. In-flight folds are unaffected.
-func (s *Server) FlushCache() { s.cache.Flush() }
+// FlushCache evicts the whole summary cache and drops every standing
+// fold — the chaos eviction-mid-fold hook (cluster.ChaosServeEvict) and
+// an operational escape hatch. In-flight folds are unaffected.
+func (s *Server) FlushCache() {
+	s.cache.Flush()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, d := range s.datasets {
+		d.mu.Lock()
+		clear(d.folds)
+		d.mu.Unlock()
+	}
+}
 
 // CacheStats snapshots the summary cache counters.
 func (s *Server) CacheStats() CacheStats { return s.cache.Stats() }
@@ -286,31 +314,38 @@ func (s *Server) handleSubmit(ctx context.Context, fc *cluster.FrameConn, sub cl
 // foldState tracks one job's cumulative fold provenance.
 type foldState struct {
 	folded int // segments folded into the standing result
-	cached int // of those, served from the summary cache
+	cached int // of those, served from a standing fold or the summary cache
 	mapped int // of those, mapped fresh by this job
 }
 
-// runJob waits for admission, folds the dataset (incrementally, for
-// tail jobs), and settles with a JobResult.
+// runJob waits for admission, brings the dataset's standing fold up to
+// date (and keeps it so, for tail jobs), and settles with a JobResult.
 func (s *Server) runJob(ctx context.Context, fc *cluster.FrameConn, id uint64,
 	sub cluster.JobSubmit, runner Runner, ds *dataset, p *pending) {
 	jt := s.cfg.Trace.Fork()
 	root := jt.StartJob("serve/" + sub.Query + "/" + sub.Dataset)
 	root.Tag("tenant", sub.Tenant)
 	st := &foldState{}
+	// held is set while the job owns its admission budget. settle
+	// returns the budget before writing the result, so a client that
+	// stops reading cannot pin its tenant's budget.
+	held := false
 	settled := false
 	settle := func(res Result, updates int, errMsg string) {
 		if settled {
 			return
 		}
 		settled = true
+		if held {
+			held = false
+			s.admit.release(p)
+		}
 		root.Attr(obs.AttrSegments, int64(st.folded)).
 			Attr(obs.AttrCachedSegments, int64(st.cached)).
 			Attr(obs.AttrMappedSegments, int64(st.mapped))
 		if errMsg != "" {
 			root.Tag("outcome", errMsg)
 		}
-		root.End()
 		switch errMsg {
 		case "":
 			s.reg.Counter(MetricJobsCompleted).Inc()
@@ -319,7 +354,14 @@ func (s *Server) runJob(ctx context.Context, fc *cluster.FrameConn, id uint64,
 		default:
 			s.reg.Counter(MetricJobsFailed).Inc()
 		}
-		_ = fc.Write(cluster.FrameJobResult, cluster.EncodeJobResult(cluster.JobResult{
+		// The root ends before the result is written: a client may read
+		// the trace as soon as its result lands, and must find the root
+		// there. The write's span therefore outlives the root; it is a
+		// top-level span naming its job instead of a child of it.
+		rootID := root.ID()
+		root.End()
+		ws := s.cfg.Trace.Start(obs.KindFrameWrite, "job_result").Tag("tenant", sub.Tenant).Attr(obs.AttrJob, rootID)
+		writeFrame(ws, fc, cluster.FrameJobResult, cluster.EncodeJobResult(cluster.JobResult{
 			ID: id, Err: errMsg, Digest: res.Digest, NumResults: res.NumResults,
 			Segments: st.folded, CacheHits: st.cached, MappedSegments: st.mapped,
 			Updates: updates,
@@ -340,32 +382,21 @@ func (s *Server) runJob(ctx context.Context, fc *cluster.FrameConn, id uint64,
 		<-p.ready // granted concurrently with the cancel: own the budget
 	}
 	qs.End()
-	defer s.admit.release(p)
+	held = true
 	s.reg.Histogram(MetricQueueWaitNs).Observe(time.Since(t0).Nanoseconds())
 	if ctx.Err() != nil {
 		settle(Result{}, 0, "cancelled")
 		return
 	}
 
-	sess, err := runner.NewSession()
-	if err != nil {
-		settle(Result{}, 0, err.Error())
-		return
-	}
-	schema := runner.SchemaKey()
-
 	segs, changed := ds.snapshot()
-	if err := s.foldSegments(ctx, jt, sess, schema, sub.Query, segs, st); err != nil {
+	cur, err := s.foldTo(ctx, jt, runner, sub.Query, ds, nil, segs, st)
+	if err != nil {
 		settle(Result{}, 0, jobErr(ctx, err))
 		return
 	}
-	res, err := sess.Result()
-	if err != nil {
-		settle(Result{}, 0, err.Error())
-		return
-	}
 	if !sub.Tail {
-		settle(res, 0, "")
+		settle(cur.Result(), 0, "")
 		return
 	}
 
@@ -379,34 +410,40 @@ func (s *Server) runJob(ctx context.Context, fc *cluster.FrameConn, id uint64,
 	emit := func(r Result) {
 		updates++
 		s.reg.Counter(MetricTailUpdates).Inc()
-		_ = fc.Write(cluster.FrameJobUpdate, cluster.EncodeJobUpdate(cluster.JobUpdate{
+		writeFrame(jt.Start(obs.KindFrameWrite, "job_update"), fc, cluster.FrameJobUpdate, cluster.EncodeJobUpdate(cluster.JobUpdate{
 			ID: id, Seq: uint64(updates), Digest: r.Digest, NumResults: r.NumResults,
 			Segments: st.folded, CacheHits: st.cached, MappedSegments: st.mapped,
 		}))
 	}
-	emit(res)
+	emit(cur.Result())
 	for {
 		select {
 		case <-ctx.Done():
-			settle(res, updates, "cancelled")
+			settle(cur.Result(), updates, "cancelled")
 			return
 		case <-changed:
 		}
-		var segs []*mapreduce.Segment
 		segs, changed = ds.snapshot()
-		if len(segs)-st.folded < every {
+		if len(segs)-cur.Segments() < every {
 			continue
 		}
-		if err := s.foldSegments(ctx, jt, sess, schema, sub.Query, segs[st.folded:], st); err != nil {
-			settle(res, updates, jobErr(ctx, err))
+		next, err := s.foldTo(ctx, jt, runner, sub.Query, ds, cur, segs, st)
+		if err != nil {
+			settle(cur.Result(), updates, jobErr(ctx, err))
 			return
 		}
-		if res, err = sess.Result(); err != nil {
-			settle(Result{}, updates, err.Error())
-			return
-		}
-		emit(res)
+		cur = next
+		emit(cur.Result())
 	}
+}
+
+// writeFrame writes one job frame under ws, a frame_write span.
+func writeFrame(ws *obs.ActiveSpan, fc *cluster.FrameConn, typ cluster.FrameType, payload []byte) {
+	ws.Attr(obs.AttrBytes, int64(len(payload)))
+	if err := fc.Write(typ, payload); err != nil {
+		ws.Tag("outcome", "error")
+	}
+	ws.End()
 }
 
 // jobErr classifies a fold error: a cancelled context settles the job
@@ -418,88 +455,120 @@ func jobErr(ctx context.Context, err error) string {
 	return err.Error()
 }
 
-// foldSegments folds segs (in dataset order) into the session: cached
-// segments decode straight from the summary cache; the rest run one
-// engine job (nested under the serve root as its own traced sub-job)
-// whose reduce side collects each segment's per-key bundles.
-func (s *Server) foldSegments(ctx context.Context, jt *obs.Trace, sess Session,
-	schema, query string, segs []*mapreduce.Segment, st *foldState) error {
-	if len(segs) == 0 {
-		return nil
+// foldTo returns the fold of exactly segs, a snapshot of ds. It resumes
+// from the longer of from (the job's own fold so far, nil at first) and
+// the dataset's standing fold, as long as that covers no more than
+// segs; the segments the resumed fold covers beyond from count as cache
+// hits. Only the segments past it are folded — cached bundles, or one
+// engine run over the uncached ones — and the extended fold is
+// published as the dataset's standing fold.
+func (s *Server) foldTo(ctx context.Context, jt *obs.Trace, runner Runner, query string,
+	ds *dataset, from Fold, segs []*mapreduce.Segment, st *foldState) (Fold, error) {
+	schema := runner.SchemaKey()
+	rs := jt.Start(obs.KindResume, query)
+	base := from
+	if sf := ds.standing(schema); sf != nil && sf.Segments() <= len(segs) &&
+		(base == nil || sf.Segments() > base.Segments()) {
+		base = sf
 	}
-	type pendSeg struct {
-		seg     *mapreduce.Segment
-		bundles map[string][]byte
-		cached  bool
+	n, had := 0, 0
+	if base != nil {
+		n = base.Segments()
 	}
-	pend := make([]*pendSeg, len(segs))
+	if from != nil {
+		had = from.Segments()
+	}
+	if k := n - had; k > 0 {
+		s.cache.addHits(int64(k))
+		st.folded += k
+		st.cached += k
+	}
+	if base != nil && n == len(segs) {
+		rs.Attr(obs.AttrSegments, int64(n)).End()
+		return base, nil
+	}
+	rest := segs[n:]
+	bundles := make([]*Bundles, len(rest))
 	var missing []*mapreduce.Segment
-	for i, seg := range segs {
-		ps := &pendSeg{seg: seg}
-		key := cacheKey{digest: segmentDigest(seg), schema: schema}
-		if b, ok := s.cache.Get(key); ok {
-			ps.bundles, ps.cached = b, true
+	for i, seg := range rest {
+		if b, ok := s.cache.Get(cacheKey{digest: seg.Digest(), schema: schema}); ok {
+			bundles[i] = b
 		} else {
 			missing = append(missing, seg)
 		}
-		pend[i] = ps
 	}
+	rs.Attr(obs.AttrSegments, int64(n)).End()
 
 	if len(missing) > 0 {
-		// Cold segments: one engine run over exactly the uncached
-		// segments. The run gets its own fork of the job trace, so its
-		// map attempts nest under this serve job — the serve-cache
-		// invariant can prove a warm job ran none.
-		et := jt.Fork()
-		mapFn, err := sess.Mapper(et)
+		mapped, err := s.mapSegments(ctx, jt, runner, query, missing)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		var cmu sync.Mutex
-		got := map[int]map[string][]byte{}
-		collect := func(_ int, key string, values []mapreduce.Shuffled) error {
-			cmu.Lock()
-			defer cmu.Unlock()
-			for _, v := range values {
-				m := got[v.MapperID]
-				if m == nil {
-					m = map[string][]byte{}
-					got[v.MapperID] = m
-				}
-				m[key] = v.Value
+		for i, seg := range rest {
+			if bundles[i] == nil {
+				bundles[i], mapped = mapped[0], mapped[1:]
+				s.cache.Put(cacheKey{digest: seg.Digest(), schema: schema}, bundles[i])
 			}
-			return nil
-		}
-		conf := s.cfg.Engine
-		conf.Trace = et
-		conf.Registry = s.reg
-		job := &mapreduce.Job{Name: "serve-map/" + query, Map: mapFn, Reduce: collect, Conf: conf}
-		if _, err := job.Start(ctx, missing).Wait(); err != nil {
-			return err
-		}
-		for _, ps := range pend {
-			if ps.cached {
-				continue
-			}
-			b := got[ps.seg.ID]
-			if b == nil {
-				b = map[string][]byte{} // segment produced no groups
-			}
-			ps.bundles = b
-			s.cache.Put(cacheKey{digest: segmentDigest(ps.seg), schema: schema}, b)
 		}
 	}
 
-	fs := jt.Start(obs.KindFold, query).Attr(obs.AttrSegments, int64(len(segs)))
-	for _, ps := range pend {
-		if err := sess.Fold(ps.bundles); err != nil {
+	fs := jt.Start(obs.KindFold, query).Attr(obs.AttrSegments, int64(len(rest)))
+	sess, err := runner.Resume(base)
+	if err != nil {
+		fs.Tag("outcome", "error").End()
+		return nil, err
+	}
+	for _, b := range bundles {
+		if err := sess.Fold(b); err != nil {
 			fs.Tag("outcome", "error").End()
-			return err
+			return nil, err
 		}
 	}
 	fs.End()
-	st.folded += len(segs)
+	ff := jt.Start(obs.KindFormat, query)
+	next := sess.Freeze()
+	ff.Attr(obs.AttrRecords, int64(next.Result().NumResults)).End()
+	ds.publish(schema, next)
+	st.folded += len(rest)
 	st.mapped += len(missing)
-	st.cached += len(segs) - len(missing)
-	return nil
+	st.cached += len(rest) - len(missing)
+	return next, nil
+}
+
+// mapSegments runs one engine job over segs and returns each segment's
+// bundles, in segs order. The run gets its own fork of the job trace,
+// so its map attempts nest under the serve job — the serve-cache
+// invariant can prove a warm job ran none.
+func (s *Server) mapSegments(ctx context.Context, jt *obs.Trace, runner Runner, query string,
+	segs []*mapreduce.Segment) ([]*Bundles, error) {
+	et := jt.Fork()
+	mapFn, err := runner.Mapper(et)
+	if err != nil {
+		return nil, err
+	}
+	// Reducers hand over bundles that point into the run buffers;
+	// packBundles copies them out once the run is done.
+	var mu sync.Mutex
+	keys, vals := map[int][]string{}, map[int][][]byte{}
+	collect := func(_ int, key string, values []mapreduce.Shuffled) error {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, v := range values {
+			keys[v.MapperID] = append(keys[v.MapperID], key)
+			vals[v.MapperID] = append(vals[v.MapperID], v.Value)
+		}
+		return nil
+	}
+	conf := s.cfg.Engine
+	conf.Trace = et
+	conf.Registry = s.reg
+	job := &mapreduce.Job{Name: "serve-map/" + query, Map: mapFn, Reduce: collect, Conf: conf}
+	if _, err := job.Start(ctx, segs).Wait(); err != nil {
+		return nil, err
+	}
+	out := make([]*Bundles, len(segs))
+	for i, seg := range segs {
+		out[i] = packBundles(keys[seg.ID], vals[seg.ID]) // no groups: empty
+	}
+	return out, nil
 }

@@ -19,6 +19,10 @@ go test -run '^$' -bench 'BenchmarkSummaryEncode$|BenchmarkSummaryDecode$|Benchm
 go test -run '^$' -bench 'BenchmarkEmitHotPath$' -benchtime 200000x ./internal/mapreduce | tee -a "$OUT"
 go test -run '^$' -bench 'BenchmarkBatchExec$|BenchmarkRunProbe$|BenchmarkBatchKeyedGroups$|BenchmarkBatchMixedGate$' -benchtime 20000x ./internal/sym | tee -a "$OUT"
 go test -run '^$' -bench 'BenchmarkColumnarParse$' -benchtime 200x ./internal/data | tee -a "$OUT"
+# Serve path: content hashing of the golden corpora (MB/s) and a warm
+# B3 re-submission through an in-process server over loopback.
+go test -run '^$' -bench 'BenchmarkSegmentDigest$' -benchtime 200x ./internal/mapreduce | tee -a "$OUT"
+go test -run '^$' -bench 'BenchmarkServeWarm$' -benchtime 2000x ./internal/serve | tee -a "$OUT"
 
 awk -v slack="$SLACK" '
 NR == FNR {
