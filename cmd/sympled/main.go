@@ -60,8 +60,8 @@ func main() {
 	)
 	flag.Parse()
 
-	// Link every query's map and fold sides into the registries; a
-	// daemon that skipped this would reject all work.
+	// Bind every query into the query table (map side, owner fold and
+	// serve runner); a daemon that skipped this would reject all work.
 	queries.RegisterClusterJobs()
 	if !*serveMode {
 		if err := cluster.WorkerMain(*listen); err != nil {

@@ -28,7 +28,7 @@ const serveRounds = 3
 // (CacheHits == segments, MappedSegments == 0), and the append run is
 // required to map exactly one segment. Results go to BENCH_SERVE.json.
 func ServeRun(d *Datasets) (*Table, error) {
-	queries.RegisterClusterJobs() // links every query's serve runner
+	queries.RegisterClusterJobs() // binds every query's serve runner
 	srv := serve.New(serve.Config{
 		Engine: mapreduce.Config{NumReducers: 4, Trace: Trace, Registry: Registry},
 	})

@@ -104,21 +104,34 @@ func silentWorker(t *testing.T) Endpoint {
 	return Dial(ln.Addr().String())
 }
 
-// testSpec is a registered no-op job for pool unit tests: identity
-// grouping on the record's first byte.
+// testBinding is a no-op query for pool unit tests: identity grouping
+// on the record's first byte; groups pass through the combiner.
+type testBinding struct{}
+
+func (testBinding) Mapper(JobSpec, *obs.Trace) (mapreduce.MapFunc, error) {
+	return func(mapperID int, seg *mapreduce.Segment, emit mapreduce.Emit) error {
+		for i, rec := range seg.Records {
+			if len(rec) == 0 {
+				continue
+			}
+			emit(string(rec[:1]), int64(i), rec)
+		}
+		return nil
+	}, nil
+}
+
+func (testBinding) Combiner(*obs.Trace) GroupCombiner { return testBinding{} }
+
+func (testBinding) Combine(_ string, rows []mapreduce.Shuffled) []mapreduce.Shuffled { return rows }
+
+func (testBinding) Flush() {}
+
+var registerTestBinding sync.Once
+
+// testSpec is the registered no-op job for pool unit tests.
 func testSpec(t *testing.T) JobSpec {
 	t.Helper()
-	RegisterJob("cluster-unit-test", func(spec JobSpec, trace *obs.Trace) (mapreduce.MapFunc, error) {
-		return func(mapperID int, seg *mapreduce.Segment, emit mapreduce.Emit) error {
-			for i, rec := range seg.Records {
-				if len(rec) == 0 {
-					continue
-				}
-				emit(string(rec[:1]), int64(i), rec)
-			}
-			return nil
-		}, nil
-	})
+	registerTestBinding.Do(func() { Register("cluster-unit-test", testBinding{}) })
 	return JobSpec{Query: "cluster-unit-test", NumReducers: 2}
 }
 

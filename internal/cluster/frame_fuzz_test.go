@@ -116,7 +116,7 @@ func frameSeedCorpus() []fuzzseed.Seed {
 	digestOnly := seedAssignmentW2W()
 	digestOnly.seg = nil
 
-	return []fuzzseed.Seed{
+	seeds := []fuzzseed.Seed{
 		{Name: "valid-hello.bin", Data: hello},
 		{Name: "valid-assign.bin", Data: assign},
 		{Name: "valid-assign-w2w.bin", Data: frame(FrameAssign, encodeAssign(seedAssignmentW2W()))},
@@ -187,6 +187,8 @@ func frameSeedCorpus() []fuzzseed.Seed {
 			Data: frame(FrameReduceDone, forgedReduceGroups())},
 		{Name: "corrupt-assign-forged-owner.bin",
 			Data: frame(FrameAssign, encodeAssign(forgedOwnerAssignment()))},
+		{Name: "corrupt-reduce-zero-reducers.bin",
+			Data: frame(FrameReduce, encodeReduce(zeroReducersReduce()))},
 		{Name: "corrupt-jobdone-trailing.bin",
 			Data: frame(FrameJobDone, append(encodeJobDone(77), 0x00))},
 		{Name: "corrupt-jobsubmit-trailing.bin",
@@ -207,6 +209,49 @@ func frameSeedCorpus() []fuzzseed.Seed {
 		{Name: "corrupt-jobcancel-trailing.bin",
 			Data: frame(FrameJobCancel, append(encodeJobCancel(JobCancel{ID: 9}), 0xFF))},
 	}
+	for _, c := range outOfRangeAssignments() {
+		seeds = append(seeds, fuzzseed.Seed{
+			Name: "corrupt-assign-" + c.name + ".bin",
+			Data: frame(FrameAssign, encodeAssign(c.a)),
+		})
+	}
+	return seeds
+}
+
+// outOfRangeAssignments are well-formed assignments whose job spec or
+// topology a worker must refuse before building anything: each knob
+// sizes an allocation or indexes a table on the worker.
+func outOfRangeAssignments() []struct {
+	name string
+	a    *assignment
+} {
+	with := func(w2w bool, edit func(a *assignment)) *assignment {
+		a := seedAssignment()
+		if w2w {
+			a = seedAssignmentW2W()
+		}
+		edit(a)
+		return a
+	}
+	return []struct {
+		name string
+		a    *assignment
+	}{
+		{"zero-reducers", with(false, func(a *assignment) { a.spec.NumReducers = 0 })},
+		{"oversized-reducers", with(false, func(a *assignment) { a.spec.NumReducers = maxParts + 1 })},
+		{"oversized-memo", with(false, func(a *assignment) { a.spec.MemoSize = maxMemoSize + 1 })},
+		{"oversized-map-parallelism", with(false, func(a *assignment) { a.spec.MapParallelism = maxMapParallelism + 1 })},
+		// Three reducers, two owners: partition 2 has no owner.
+		{"w2w-short-owners", with(true, func(a *assignment) { a.owners = []int{0, 1} })},
+		{"w2w-long-owners", with(true, func(a *assignment) { a.owners = []int{0, 1, 0, 1} })},
+	}
+}
+
+// zeroReducersReduce is seedReduce with a job spec of zero reducers.
+func zeroReducersReduce() *reduceReq {
+	q := seedReduce()
+	q.spec.NumReducers = 0
+	return q
 }
 
 // forgedJobSubmitLength claims a huge tenant-string length with no

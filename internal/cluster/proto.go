@@ -20,7 +20,7 @@ import (
 // All fields are scalar so specs are comparable — workers cache one
 // built mapper per distinct spec.
 type JobSpec struct {
-	// Query is the job registry key (RegisterJob), e.g. "G1".
+	// Query is the query table key (Register), e.g. "G1".
 	Query string
 	// NumReducers and Compress must match the coordinator's
 	// mapreduce.Config: they shape the partitioning and encoding of
@@ -43,8 +43,21 @@ func appendJobSpec(e *wire.Encoder, s JobSpec) {
 	e.Varint(int64(s.MapParallelism))
 }
 
-func decodeJobSpec(d *wire.Decoder) JobSpec {
-	return JobSpec{
+// Bounds on the JobSpec knobs a worker takes from the wire. Each one
+// sizes an allocation before any work runs — ExecuteMap's
+// per-partition buffers (NumReducers, capped by maxParts), the memo's
+// pre-sized table, the sub-chunk fan-out — so a corrupt frame must not
+// choose them. Negative MemoSize (memo off) and MapParallelism below 2
+// (single-threaded) allocate nothing and pass.
+const (
+	maxMemoSize       = 1 << 20
+	maxMapParallelism = 1 << 10
+)
+
+// decodeJobSpec reads a JobSpec and rejects out-of-range knobs with
+// ErrFrame.
+func decodeJobSpec(d *wire.Decoder) (JobSpec, error) {
+	s := JobSpec{
 		Query:          d.String(),
 		NumReducers:    int(d.Uvarint()),
 		Compress:       d.Bool(),
@@ -52,6 +65,18 @@ func decodeJobSpec(d *wire.Decoder) JobSpec {
 		MemoSize:       int(d.Varint()),
 		MapParallelism: int(d.Varint()),
 	}
+	if err := d.Err(); err != nil {
+		return s, err
+	}
+	switch {
+	case s.NumReducers < 1 || s.NumReducers > maxParts:
+		return s, fmt.Errorf("%w: job spec has %d reducers, want 1..%d", ErrFrame, s.NumReducers, maxParts)
+	case s.MemoSize > maxMemoSize:
+		return s, fmt.Errorf("%w: job spec memo size %d exceeds %d", ErrFrame, s.MemoSize, maxMemoSize)
+	case s.MapParallelism > maxMapParallelism:
+		return s, fmt.Errorf("%w: job spec map parallelism %d exceeds %d", ErrFrame, s.MapParallelism, maxMapParallelism)
+	}
+	return s, nil
 }
 
 // encodeHello builds the hello payload: magic then protocol version.
@@ -172,8 +197,12 @@ func encodeAssign(a *assignment) []byte {
 
 func decodeAssign(payload []byte) (*assignment, error) {
 	d := wire.NewDecoder(payload)
+	spec, err := decodeJobSpec(d)
+	if err != nil {
+		return nil, err
+	}
 	a := &assignment{
-		spec:          decodeJobSpec(d),
+		spec:          spec,
 		task:          int(d.Uvarint()),
 		attempt:       int(d.Uvarint()),
 		abortAfter:    int(d.Varint()),
@@ -204,6 +233,10 @@ func decodeAssign(payload []byte) (*assignment, error) {
 		a.refillPart = int(d.Varint())
 		if d.Err() != nil {
 			return nil, d.Err()
+		}
+		if len(a.owners) != a.spec.NumReducers {
+			return nil, fmt.Errorf("%w: assignment owner table has %d entries for %d reducers",
+				ErrFrame, len(a.owners), a.spec.NumReducers)
 		}
 		if a.selfID < 0 || a.selfID >= len(a.addrs) {
 			return nil, fmt.Errorf("%w: assignment self ID %d outside %d workers", ErrFrame, a.selfID, len(a.addrs))
@@ -577,9 +610,14 @@ func encodeReduce(q *reduceReq) []byte {
 
 func decodeReduce(payload []byte) (*reduceReq, error) {
 	d := wire.NewDecoder(payload)
+	jobID := d.Uvarint()
+	spec, err := decodeJobSpec(d)
+	if err != nil {
+		return nil, err
+	}
 	q := &reduceReq{
-		jobID:     d.Uvarint(),
-		spec:      decodeJobSpec(d),
+		jobID:     jobID,
+		spec:      spec,
 		part:      int(d.Uvarint()),
 		dropState: d.Bool(),
 	}

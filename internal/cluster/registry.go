@@ -8,72 +8,70 @@ import (
 	"repro/internal/obs"
 )
 
-// The job registry maps a JobSpec.Query key to a builder for the job's
-// map side. User MapFuncs are closures and cannot cross the socket, so
-// coordinator and worker must agree out of band on what a job name
-// means: both processes link the same registrations (internal/queries
-// registers every query's SYMPLE mapper), and the assignment carries
-// only the key plus the option knobs. cluster cannot import queries —
-// queries imports cluster — which is why registration is inverted
-// through this table.
+// The query table maps a JobSpec.Query key to the query's Binding. User
+// map functions are closures and cannot cross the socket, so
+// coordinator and worker agree out of band on what a query name means:
+// both processes link the same bindings (internal/queries binds every
+// query once per process), and the assignment carries only the key plus
+// the option knobs. cluster cannot import queries — queries imports
+// cluster — which is why the table is filled by registration. It is the
+// one query table of the process: the query service (internal/serve)
+// resolves its fold runners from it too.
 
-// MapBuilder constructs the map side of a job for the given spec.
-// trace receives the worker-side spans (map parse/exec chunks) that
-// ship back to the coordinator; it may be nil.
-type MapBuilder func(spec JobSpec, trace *obs.Trace) (mapreduce.MapFunc, error)
+// Binding is one query bound for execution, built once per process.
+type Binding interface {
+	// Mapper builds the query's map side for spec. trace receives the
+	// worker-side spans (map parse/exec chunks) that ship back to the
+	// coordinator; it may be nil.
+	Mapper(spec JobSpec, trace *obs.Trace) (mapreduce.MapFunc, error)
+	// Combiner builds the group combiner of one worker-resident reduce
+	// attempt. trace receives the attempt's spans.
+	Combiner(trace *obs.Trace) GroupCombiner
+}
 
-// GroupCombiner folds one merged key group on the reduce owner before
-// the group crosses back to the coordinator — for SYMPLE jobs,
-// composing the group's summary bundles into one (ApplyAll ∘ ComposeAll
-// = ApplyAll, §4.2), which is what shrinks the reduce reply to KBs. The
-// rows slice and its values are only valid for the call; the returned
-// rows must not alias them unless they are the input rows unchanged
-// (the allowed "cannot combine, pass through" fallback).
-type GroupCombiner func(key string, rows []mapreduce.Shuffled) ([]mapreduce.Shuffled, error)
-
-// CombinerBuilder constructs a job's reduce-side group combiner.
-type CombinerBuilder func(spec JobSpec, trace *obs.Trace) (GroupCombiner, error)
+// GroupCombiner folds the merged key groups of one reduce attempt on the
+// partition owner before they cross back to the coordinator — for
+// SYMPLE jobs, the whole reduce of each group down to one constant
+// summary (core.OwnerFold), which is what shrinks the reduce reply to
+// KBs.
+type GroupCombiner interface {
+	// Combine folds one group. The rows slice and its values are only
+	// valid for the call; the returned rows must not alias them unless
+	// they are the input rows unchanged (the "cannot combine, pass
+	// through" fallback, which leaves any error to the coordinator's
+	// reducer).
+	Combine(key string, rows []mapreduce.Shuffled) []mapreduce.Shuffled
+	// Flush ends the attempt, emitting any aggregate spans.
+	Flush()
+}
 
 var (
-	regMu        sync.RWMutex
-	regJobs      = map[string]MapBuilder{}
-	regCombiners = map[string]CombinerBuilder{}
+	regMu    sync.RWMutex
+	bindings = map[string]Binding{}
 )
 
-// RegisterJob registers the map-side builder for a query key.
-// Re-registering a key overwrites it (registration happens wherever
-// the typed query is constructed, which may run more than once); all
-// registrations for a key must be behaviorally identical.
-func RegisterJob(query string, b MapBuilder) {
+// Register adds a query's binding to the table. Each query binds once
+// per process; registering an ID twice panics.
+func Register(query string, b Binding) {
 	regMu.Lock()
-	regJobs[query] = b
-	regMu.Unlock()
-}
-
-// RegisterJobCombiner registers the reduce-side group combiner for a
-// query key. Optional: a job without one reduces worker-resident but
-// ships every merged group row back uncombined.
-func RegisterJobCombiner(query string, b CombinerBuilder) {
-	regMu.Lock()
-	regCombiners[query] = b
-	regMu.Unlock()
-}
-
-// lookupJob resolves a registered builder.
-func lookupJob(query string) (MapBuilder, error) {
-	regMu.RLock()
-	b, ok := regJobs[query]
-	regMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("cluster: no job registered for query %q (did the worker link the registrations?)", query)
+	defer regMu.Unlock()
+	if _, dup := bindings[query]; dup {
+		panic(fmt.Sprintf("cluster: query %q registered twice", query))
 	}
-	return b, nil
+	bindings[query] = b
 }
 
-// lookupCombiner resolves a registered combiner builder; nil when the
-// query has none.
-func lookupCombiner(query string) CombinerBuilder {
+// Lookup returns the binding registered for query, or nil.
+func Lookup(query string) Binding {
 	regMu.RLock()
 	defer regMu.RUnlock()
-	return regCombiners[query]
+	return bindings[query]
+}
+
+// lookupBinding resolves the binding a worker request names.
+func lookupBinding(query string) (Binding, error) {
+	if b := Lookup(query); b != nil {
+		return b, nil
+	}
+	return nil, fmt.Errorf("cluster: no job registered for query %q (did the worker link the query bindings?)", query)
 }

@@ -19,17 +19,18 @@ import (
 
 // The worker side: accept coordinator connections, exchange hellos,
 // then serve assignments one at a time per connection. Each assignment
-// runs the registered map side over the shipped segment via
+// runs the query binding's map side over the shipped segment via
 // mapreduce.ExecuteMap — the exact attempt body the in-process engine
 // runs. In the via-coordinator topology every non-empty partition's
 // encoded run streams back on the same connection; in the w2w topology
 // runs push straight to each partition's owning worker (peer.go) and
 // only byte-counted receipts go back. Worker-to-worker mode also makes
 // the worker a reduce host: FrameReduce merges the runs buffered for a
-// partition, applies the job's registered group combiner, and returns
-// the (usually tiny) combined groups. Killing a worker still loses
-// nothing that isn't re-derivable — buffered runs are refilled by
-// re-running the committed map attempt over its retained segment.
+// partition, folds each group through the binding's combiner (the
+// owner fold), and returns the (usually tiny) combined groups. Killing
+// a worker still loses nothing that isn't re-derivable — buffered runs
+// are refilled by re-running the committed map attempt over its
+// retained segment.
 
 // maxWorkerJobs caps per-job shuffle states retained by a worker; the
 // oldest is evicted (peers closed, runs dropped) when exceeded.
@@ -47,7 +48,6 @@ const needSegmentPrefix = "need-segment: "
 type Worker struct {
 	mu     sync.Mutex
 	maps   map[JobSpec]*cachedMapper
-	reds   map[JobSpec]*cachedReducer
 	active atomic.Int64
 
 	jmu      sync.Mutex
@@ -71,21 +71,10 @@ type cachedMapper struct {
 	sink  *obs.MemSink
 }
 
-// cachedReducer is the reduce-side analogue: the job's group combiner
-// (nil when none is registered — groups pass through uncombined) plus
-// the trace that collects the reduce attempt's spans.
-type cachedReducer struct {
-	mu    sync.Mutex
-	comb  GroupCombiner
-	trace *obs.Trace
-	sink  *obs.MemSink
-}
-
 // NewWorker returns an empty worker.
 func NewWorker() *Worker {
 	return &Worker{
 		maps: map[JobSpec]*cachedMapper{},
-		reds: map[JobSpec]*cachedReducer{},
 		jobs: map[uint64]*jobState{},
 		segs: map[uint64]*mapreduce.Segment{},
 	}
@@ -326,12 +315,12 @@ func (w *Worker) mapper(spec JobSpec) (*cachedMapper, error) {
 	if !ok {
 		sink := obs.NewMemSink()
 		trace := obs.NewTrace(sink)
-		builder, err := lookupJob(spec.Query)
+		b, err := lookupBinding(spec.Query)
 		if err != nil {
 			w.mu.Unlock()
 			return nil, err
 		}
-		fn, err := builder(spec, trace)
+		fn, err := b.Mapper(spec, trace)
 		if err != nil {
 			w.mu.Unlock()
 			return nil, err
@@ -343,32 +332,6 @@ func (w *Worker) mapper(spec JobSpec) (*cachedMapper, error) {
 	cm.mu.Lock()
 	cm.sink.Reset() // spans emitted from here on belong to this assignment
 	return cm, nil
-}
-
-// reducer returns the cached reduce side for a spec (combiner may be
-// nil), locked like mapper.
-func (w *Worker) reducer(spec JobSpec) (*cachedReducer, error) {
-	w.mu.Lock()
-	cr, ok := w.reds[spec]
-	if !ok {
-		sink := obs.NewMemSink()
-		trace := obs.NewTrace(sink)
-		var comb GroupCombiner
-		if cb := lookupCombiner(spec.Query); cb != nil {
-			var err error
-			comb, err = cb(spec, trace)
-			if err != nil {
-				w.mu.Unlock()
-				return nil, err
-			}
-		}
-		cr = &cachedReducer{comb: comb, trace: trace, sink: sink}
-		w.reds[spec] = cr
-	}
-	w.mu.Unlock()
-	cr.mu.Lock()
-	cr.sink.Reset()
-	return cr, nil
 }
 
 // runSink streams runs to the coordinator as FrameRun messages,
@@ -535,21 +498,16 @@ func (w *Worker) runReduce(req *reduceReq, fw *frameWriter) error {
 	if len(missing) > 0 {
 		return fw.write(FrameReduceDone, encodeReduceMissing(missing))
 	}
-	cr, err := w.reducer(req.spec)
+	b, err := lookupBinding(req.spec.Query)
 	if err != nil {
 		return err
 	}
-	defer cr.mu.Unlock()
+	sink := obs.NewMemSink()
+	trace := obs.NewTrace(sink)
+	comb := b.Combiner(trace)
 	var groups []mapreduce.ReducedGroup
-	err = mapreduce.MergeEncodedRuns(req.part, runs, cr.trace, func(key string, group []mapreduce.Shuffled) error {
-		rows := group
-		if cr.comb != nil {
-			var cerr error
-			rows, cerr = cr.comb(key, group)
-			if cerr != nil {
-				return cerr
-			}
-		}
+	err = mapreduce.MergeEncodedRuns(req.part, runs, trace, func(key string, group []mapreduce.Shuffled) error {
+		rows := comb.Combine(key, group)
 		// Copy: the merge reuses the group buffer and its values alias
 		// pooled decode buffers.
 		g := mapreduce.ReducedGroup{Key: key, Rows: make([]mapreduce.Shuffled, len(rows))}
@@ -566,7 +524,8 @@ func (w *Worker) runReduce(req *reduceReq, fw *frameWriter) error {
 	if err != nil {
 		return err
 	}
-	if spans := cr.sink.Spans(); len(spans) > 0 {
+	comb.Flush()
+	if spans := sink.Spans(); len(spans) > 0 {
 		if err := fw.write(FrameSpans, encodeSpans(spans)); err != nil {
 			return err
 		}

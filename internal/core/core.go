@@ -330,19 +330,14 @@ func RunSympleOpts[S sym.State, E, R any](q *Query[S, E, R], segments []*mapredu
 	if opt.Tree {
 		name = q.Name + "/symple-tree"
 	}
-	agg := &composeAgg{}
+	agg := &groupSpans{kind: obs.KindCompose}
 	reduce := func(_ int, key string, values []mapreduce.Shuffled) error {
-		// values arrive ordered by (mapperID, recordID): the order
-		// the chunks appear in the input.
-		sums, err := decodeSummaryBundles(sc, values)
-		if err != nil {
-			return err
-		}
-		// The classic path folds summaries onto the concrete state one
-		// by one: n applies, zero summary∘summary compositions. The
-		// compose span records both so the verifier's compose-count
-		// invariant (composes + applies = summaries) covers this path
-		// as well as the tree path.
+		// values arrive ordered by (mapperID, recordID): the order the
+		// chunks appear in the input. The fold applies the summaries
+		// onto the concrete state one by one: n applies, zero
+		// summary∘summary compositions. The compose span records both so
+		// the verifier's compose-count invariant (composes + applies =
+		// summaries) covers this path as well as the tree path.
 		var t0 time.Time
 		timed := false
 		if trace != nil {
@@ -350,18 +345,19 @@ func RunSympleOpts[S sym.State, E, R any](q *Query[S, E, R], segments []*mapredu
 				t0 = time.Now()
 			}
 		}
-		final, err := sym.ApplyAll(q.NewState(), sums)
-		if err != nil {
-			return fmt.Errorf("composing %d summaries: %w", len(sums), err)
-		}
+		final, sums, err := FoldGroup(sc, q.NewState(), values, nil)
+		n := int64(len(sums))
 		for _, s := range sums {
 			s.Release()
 		}
+		if err != nil {
+			return fmt.Errorf("folding %d summaries: %w", n, err)
+		}
 		r := q.Result(key, final)
 		if timed {
-			emitComposeSpan(trace, key, t0, time.Now(), int64(len(sums)), 0, int64(len(sums)))
+			agg.emit(trace, key, t0, time.Now(), n, 0, n)
 		} else if trace != nil {
-			agg.addOverflow(int64(len(sums)), 0, int64(len(sums)))
+			agg.addOverflow(n, 0, n)
 		}
 		mu.Lock()
 		results[key] = r

@@ -8,21 +8,25 @@ import (
 	"repro/internal/obs"
 )
 
-// composeSpanCap bounds per-group compose spans per job. Group counts
-// track key cardinality, which for queries like G1 or B3 approaches
-// record cardinality — a span per group there costs more than the reduce
-// work it describes and alone pushes tracing past the ≤3% overhead
-// budget. The first composeSpanCap groups get individual spans (enough
-// to cover every group of the paper's low-cardinality regimes: B1=1,
-// B2=50, R1=100); the rest fold into one overflow span whose attrs are
-// the sums. The verifier's compose-count invariant survives the
-// aggregation exactly: composes + applies == summaries is additive
-// across groups.
+// composeSpanCap bounds per-group reduce spans per job (and per w2w
+// owner reduce attempt). Group counts track key cardinality, which for
+// queries like G1 or B3 approaches record cardinality — a span per group
+// there costs more than the reduce work it describes and alone pushes
+// tracing past the ≤3% overhead budget. The first composeSpanCap groups
+// get individual spans (enough to cover every group of the paper's
+// low-cardinality regimes: B1=1, B2=50, R1=100); the rest fold into one
+// overflow span whose attrs are the sums. The verifier's compose-count
+// invariant survives the aggregation exactly: composes + applies ==
+// summaries is additive across groups.
 const composeSpanCap = 128
 
-// composeAgg caps per-group compose-span cardinality for one job. Groups
-// past the cap cost four atomic adds and no clock reads.
-type composeAgg struct {
+// groupSpans caps per-group reduce-span cardinality for one job or one
+// owner reduce attempt. Every span it emits has kind: obs.KindCompose
+// for the coordinator-side reducers, obs.KindReduceGroup for the w2w
+// owner fold. Groups past the cap cost four atomic adds and no clock
+// reads.
+type groupSpans struct {
+	kind          string
 	admitted      atomic.Int64
 	groups        atomic.Int64
 	summaries     atomic.Int64
@@ -33,7 +37,7 @@ type composeAgg struct {
 
 // admit reports whether this group gets its own span. The first group
 // past the cap stamps the overflow span's start time.
-func (a *composeAgg) admit() bool {
+func (a *groupSpans) admit() bool {
 	if a.admitted.Add(1) <= composeSpanCap {
 		return true
 	}
@@ -44,7 +48,7 @@ func (a *composeAgg) admit() bool {
 }
 
 // addOverflow folds one past-cap group into the aggregate.
-func (a *composeAgg) addOverflow(summaries, composes, applies int64) {
+func (a *groupSpans) addOverflow(summaries, composes, applies int64) {
 	a.groups.Add(1)
 	a.summaries.Add(summaries)
 	a.composes.Add(composes)
@@ -52,10 +56,11 @@ func (a *composeAgg) addOverflow(summaries, composes, applies int64) {
 }
 
 // flush emits the overflow aggregate (when any group ran past the cap).
-// Called once after the job completes: the span is parented to the job
-// via Trace.CurrentJob (which outlives the job span's End) and closed at
-// flush time, within the verifier's containment slack of the job end.
-func (a *composeAgg) flush(trace *obs.Trace) {
+// Called once after the job (or attempt) completes: the span is
+// parented to the job via Trace.CurrentJob (which outlives the job
+// span's End) and closed at flush time, within the verifier's
+// containment slack of the job end.
+func (a *groupSpans) flush(trace *obs.Trace) {
 	g := a.groups.Load()
 	if g == 0 {
 		return
@@ -67,7 +72,7 @@ func (a *composeAgg) flush(trace *obs.Trace) {
 	}
 	trace.EmitRaw(&obs.Span{
 		Parent: trace.CurrentJob(),
-		Kind:   obs.KindCompose,
+		Kind:   a.kind,
 		Name:   fmt.Sprintf("overflow+%d-groups", g),
 		Start:  start,
 		End:    end,
@@ -81,11 +86,11 @@ func (a *composeAgg) flush(trace *obs.Trace) {
 	a.groups.Store(0)
 }
 
-// emitComposeSpan emits one under-cap per-group compose span.
-func emitComposeSpan(trace *obs.Trace, key string, start, end time.Time, summaries, composes, applies int64) {
+// emit emits one under-cap per-group span named by the group key.
+func (a *groupSpans) emit(trace *obs.Trace, key string, start, end time.Time, summaries, composes, applies int64) {
 	trace.EmitRaw(&obs.Span{
 		Parent: trace.CurrentJob(),
-		Kind:   obs.KindCompose,
+		Kind:   a.kind,
 		Name:   key,
 		Start:  start.UnixNano(),
 		End:    end.UnixNano(),

@@ -203,9 +203,9 @@ func sympleMapFunc[S sym.State, E, R any](q *Query[S, E, R], sc *sym.Schema[S], 
 
 // treeReduceFunc composes a group's summaries as a parallel binary tree
 // and applies the single result to the initial state.
-func treeReduceFunc[S sym.State, E, R any](q *Query[S, E, R], sc *sym.Schema[S], mu *sync.Mutex, results map[string]R, trace *obs.Trace, agg *composeAgg) mapreduce.ReduceFunc {
+func treeReduceFunc[S sym.State, E, R any](q *Query[S, E, R], sc *sym.Schema[S], mu *sync.Mutex, results map[string]R, trace *obs.Trace, agg *groupSpans) mapreduce.ReduceFunc {
 	return func(_ int, key string, values []mapreduce.Shuffled) error {
-		sums, err := decodeSummaryBundles(sc, values)
+		sums, err := decodeSummaryBundles(sc, nil, values)
 		if err != nil {
 			return err
 		}
@@ -234,7 +234,7 @@ func treeReduceFunc[S sym.State, E, R any](q *Query[S, E, R], sc *sym.Schema[S],
 		composed.Release()
 		r := q.Result(key, final)
 		if timed {
-			emitComposeSpan(trace, key, t0, time.Now(), int64(len(sums)), int64(n), 1)
+			agg.emit(trace, key, t0, time.Now(), int64(len(sums)), int64(n), 1)
 		} else if trace != nil {
 			agg.addOverflow(int64(len(sums)), int64(n), 1)
 		}
@@ -243,20 +243,6 @@ func treeReduceFunc[S sym.State, E, R any](q *Query[S, E, R], sc *sym.Schema[S],
 		mu.Unlock()
 		return nil
 	}
-}
-
-// decodeSummaryBundles decodes the ordered summary bundles of one group
-// into pooled containers of the run's schema. The caller owns the
-// summaries and releases them once consumed.
-func decodeSummaryBundles[S sym.State](sc *sym.Schema[S], values []mapreduce.Shuffled) ([]*sym.Summary[S], error) {
-	var sums []*sym.Summary[S]
-	var err error
-	for _, v := range values {
-		if sums, err = sc.DecodeSummaryBundle(sums, v.Value); err != nil {
-			return nil, err
-		}
-	}
-	return sums, nil
 }
 
 // The pairwise tree reduction itself lives in the sym package

@@ -71,11 +71,16 @@ const (
 	// summaries. Name: group key. Attrs: summaries, composes, applies —
 	// the compose-count invariant requires composes+applies = summaries.
 	KindCompose = "compose"
-	// KindCombine covers a mapper-side combiner pre-composing one
-	// group's summary list. Attrs: summaries, composes (= summaries−1).
+	// KindCombine covers the mapper-side combiner (SympleOptions.Combine)
+	// pre-composing one (mapper, group) summary list; only map tasks
+	// emit it. Attrs: summaries, composes (= summaries−1).
 	KindCombine = "combine"
-	// KindReduceGroup covers one concrete reduce group (baseline
-	// engine). Name: group key. Attrs: values.
+	// KindReduceGroup covers one reduce group that is not a
+	// coordinator-side compose: a baseline-engine reduce group (attrs:
+	// values) or the w2w owner fold of a SYMPLE group on its partition
+	// owner (attrs: summaries, composes = 0, applies = summaries). Name:
+	// group key; an owner reduce attempt past the per-group span cap
+	// folds its remaining groups into one overflow span (attr groups).
 	KindReduceGroup = "reduce_group"
 	// KindPartOwner is an instant event recording which worker ran the
 	// worker-resident reduce for a partition (cluster w2w topology).

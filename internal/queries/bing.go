@@ -25,10 +25,10 @@ type b1State struct {
 
 func (s *b1State) Fields() []sym.Value { return []sym.Value{&s.LastOk, &s.Out} }
 
-// B1 reports every window of more than 2 minutes with no successful
+// b1 binds the query that reports every window of more than 2 minutes with no successful
 // query by any user. Grouping key is the constant "all": the query has
 // exactly one group, so symbolic parallelism is the only parallelism.
-func B1() *Spec {
+func b1() *Spec {
 	q := &core.Query[*b1State, int64, []int64]{
 		Name: "B1",
 		GroupBy: func(rec []byte) (string, int64, bool) {
@@ -57,7 +57,7 @@ func B1() *Spec {
 		DecodeEvent: func(d *wire.Decoder) (int64, error) { return d.Varint(), d.Err() },
 	}
 	q.GroupByBatch = makeGroupByBatch(q.GroupBy, compileB1)
-	return makeSpec("B1", "Outages: more than 2 minutes with no successful query by any user", "bing",
+	return bind("B1", "Outages: more than 2 minutes with no successful query by any user", "bing",
 		false, true, false, q,
 		func(key string, gaps []int64) string {
 			if len(gaps) == 0 {
@@ -80,9 +80,9 @@ type b2State struct {
 
 func (s *b2State) Fields() []sym.Value { return []sym.Value{&s.Prev, &s.Count} }
 
-// B2 counts, per geographic area, windows of more than 2 minutes with no
+// b2 binds the query that counts, per geographic area, windows of more than 2 minutes with no
 // successful query from that area (local outages).
-func B2() *Spec {
+func b2() *Spec {
 	q := &core.Query[*b2State, int64, int64]{
 		Name: "B2",
 		GroupBy: func(rec []byte) (string, int64, bool) {
@@ -114,7 +114,7 @@ func B2() *Spec {
 		DecodeEvent: func(d *wire.Decoder) (int64, error) { return d.Varint(), d.Err() },
 	}
 	q.GroupByBatch = makeGroupByBatch(q.GroupBy, compileB2)
-	return makeSpec("B2", "Outages per geographic area of the query (local outages)", "bing",
+	return bind("B2", "Outages per geographic area of the query (local outages)", "bing",
 		false, false, true, q,
 		func(key string, count int64) string {
 			if count == 0 {
@@ -140,10 +140,10 @@ func (s *b3State) Fields() []sym.Value {
 	return []sym.Value{&s.Prev, &s.Count, &s.Out}
 }
 
-// B3 reports, per user, the number of queries in each session (< 2
+// b3 binds the query that reports, per user, the number of queries in each session (< 2
 // minutes between consecutive queries). The group count is huge — the
 // regime where the paper observes SYMPLE stops helping (§6.5).
-func B3() *Spec {
+func b3() *Spec {
 	q := &core.Query[*b3State, int64, []int64]{
 		Name: "B3",
 		GroupBy: func(rec []byte) (string, int64, bool) {
@@ -184,7 +184,7 @@ func B3() *Spec {
 		DecodeEvent: func(d *wire.Decoder) (int64, error) { return d.Varint(), d.Err() },
 	}
 	q.GroupByBatch = makeGroupByBatch(q.GroupBy, compileB3)
-	return makeSpec("B3", "Number of queries in a session per user (< 2 minutes between queries)", "bing",
+	return bind("B3", "Number of queries in a session per user (< 2 minutes between queries)", "bing",
 		false, true, true, q,
 		func(key string, sessions []int64) string {
 			if len(sessions) == 0 {

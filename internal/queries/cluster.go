@@ -6,39 +6,34 @@ import (
 	"repro/internal/data"
 	"repro/internal/mapreduce"
 	"repro/internal/obs"
-	"repro/internal/sym"
 )
 
 // Cluster wiring: user map functions are closures over typed queries
 // and cannot cross a socket, so coordinator and worker instead agree on
-// a registry key — the query ID — and both sides link the same
-// registrations. Constructing any Spec (makeSpec) registers its SYMPLE
-// map side under its ID; a worker process just has to force the specs
-// into existence once at startup.
+// a table key — the query ID — and both sides link the same bindings
+// (spec.go). A worker process just has to bind the queries once at
+// startup.
 
-// registerClusterJob publishes the SYMPLE map side of a typed query in
-// the cluster job registry under the query's ID. makeSpec calls it, so
-// any process that constructs the specs can serve worker assignments.
-func registerClusterJob[S sym.State, E, R any](id string, q *core.Query[S, E, R]) {
-	cluster.RegisterJob(id, func(spec cluster.JobSpec, trace *obs.Trace) (mapreduce.MapFunc, error) {
-		return core.SympleMapper(q, core.SympleOptions{
-			Combine:        spec.Combine,
-			MemoSize:       spec.MemoSize,
-			MapParallelism: spec.MapParallelism,
-		}, trace)
-	})
-	cluster.RegisterJobCombiner(id, func(spec cluster.JobSpec, trace *obs.Trace) (cluster.GroupCombiner, error) {
-		return core.SympleCombiner(q, trace)
-	})
+// Mapper is the query's SYMPLE map side under spec's map-side options,
+// over the binding's one schema.
+func (b *binding[S, E, R]) Mapper(spec cluster.JobSpec, trace *obs.Trace) (mapreduce.MapFunc, error) {
+	return core.SympleMapper(b.q, b.sc, core.SympleOptions{
+		Combine:        spec.Combine,
+		MemoSize:       spec.MemoSize,
+		MapParallelism: spec.MapParallelism,
+	}, trace)
 }
 
-// RegisterClusterJobs makes every query's map side available to the
-// cluster job registry. Worker processes (cmd/sympled, the spawned
-// worker modes) call this once at startup; it is idempotent.
-func RegisterClusterJobs() {
-	// Constructing each Spec runs makeSpec, which registers its job.
-	_ = All()
+// Combiner is the owner fold of one w2w reduce attempt.
+func (b *binding[S, E, R]) Combiner(trace *obs.Trace) cluster.GroupCombiner {
+	return core.SympleCombiner(b.q, b.sc, trace)
 }
+
+// RegisterClusterJobs binds every query into the cluster query table,
+// which also serves the query service. Worker and server processes
+// (cmd/sympled, the spawned worker modes) call it once at startup; it is
+// idempotent, and All and ByID bind the same way.
+func RegisterClusterJobs() { bound() }
 
 // ClusterSpec builds the cluster.JobSpec a coordinator ships to
 // workers for query id under the given engine config and options. The
@@ -48,7 +43,7 @@ func RegisterClusterJobs() {
 func ClusterSpec(id string, conf mapreduce.Config, opt core.SympleOptions) cluster.JobSpec {
 	return cluster.JobSpec{
 		Query:          id,
-		NumReducers:    conf.NumReducers,
+		NumReducers:    max(conf.NumReducers, 1), // the engine's default for 0
 		Compress:       conf.CompressShuffle,
 		Combine:        opt.Combine,
 		MemoSize:       opt.MemoSize,

@@ -21,8 +21,8 @@ type g1State struct {
 
 func (s *g1State) Fields() []sym.Value { return []sym.Value{&s.OnlyPush} }
 
-// G1 returns all repositories whose every operation is a push.
-func G1() *Spec {
+// g1 binds the query that returns all repositories whose every operation is a push.
+func g1() *Spec {
 	q := &core.Query[*g1State, int64, bool]{
 		Name: "G1",
 		GroupBy: func(rec []byte) (string, int64, bool) {
@@ -44,7 +44,7 @@ func G1() *Spec {
 		DecodeEvent: func(d *wire.Decoder) (int64, error) { return int64(d.Uvarint()), d.Err() },
 	}
 	q.GroupByBatch = makeGroupByBatch(q.GroupBy, compileGithubOp)
-	return makeSpec("G1", "Return all repositories with only push commands", "github",
+	return bind("G1", "Return all repositories with only push commands", "github",
 		true, false, false, q,
 		func(key string, onlyPush bool) string {
 			if !onlyPush {
@@ -67,9 +67,9 @@ type g2State struct {
 
 func (s *g2State) Fields() []sym.Value { return []sym.Value{&s.Prev, &s.Out} }
 
-// G2 reports, per repository, each operation that directly preceded a
+// g2 binds the query that reports, per repository, each operation that directly preceded a
 // repository deletion.
-func G2() *Spec {
+func g2() *Spec {
 	q := &core.Query[*g2State, int64, []int64]{
 		Name: "G2",
 		GroupBy: func(rec []byte) (string, int64, bool) {
@@ -103,7 +103,7 @@ func G2() *Spec {
 		DecodeEvent: func(d *wire.Decoder) (int64, error) { return int64(d.Uvarint()), d.Err() },
 	}
 	q.GroupByBatch = makeGroupByBatch(q.GroupBy, compileGithubOp)
-	return makeSpec("G2", "All operations on a repository directly preceding a delete operation", "github",
+	return bind("G2", "All operations on a repository directly preceding a delete operation", "github",
 		true, false, false, q,
 		func(key string, ops []int64) string {
 			if len(ops) == 0 {
@@ -125,9 +125,9 @@ func (s *g3State) Fields() []sym.Value {
 	return []sym.Value{&s.InPull, &s.Count, &s.Out}
 }
 
-// G3 reports, per repository, the number of operations executed between
+// g3 binds the query that reports, per repository, the number of operations executed between
 // each pull-request open and its close.
-func G3() *Spec {
+func g3() *Spec {
 	q := &core.Query[*g3State, int64, []int64]{
 		Name: "G3",
 		GroupBy: func(rec []byte) (string, int64, bool) {
@@ -162,7 +162,7 @@ func G3() *Spec {
 		DecodeEvent: func(d *wire.Decoder) (int64, error) { return int64(d.Uvarint()), d.Err() },
 	}
 	q.GroupByBatch = makeGroupByBatch(q.GroupBy, compileGithubOp)
-	return makeSpec("G3", "Number of operations executed on a repository between pull open and close", "github",
+	return bind("G3", "Number of operations executed on a repository between pull open and close", "github",
 		true, true, false, q,
 		func(key string, counts []int64) string {
 			if len(counts) == 0 {
@@ -189,9 +189,9 @@ func (s *g4State) Fields() []sym.Value {
 	return []sym.Value{&s.Deleted, &s.DelTs, &s.Out}
 }
 
-// G4 reports, per repository, the elapsed time between each branch
+// g4 binds the query that reports, per repository, the elapsed time between each branch
 // deletion and the next branch creation.
-func G4() *Spec {
+func g4() *Spec {
 	q := &core.Query[*g4State, g4Event, []int64]{
 		Name: "G4",
 		GroupBy: func(rec []byte) (string, g4Event, bool) {
@@ -233,7 +233,7 @@ func G4() *Spec {
 		},
 	}
 	q.GroupByBatch = makeGroupByBatch(q.GroupBy, compileG4)
-	return makeSpec("G4", "The time between branch deletion and branch creation in a repository", "github",
+	return bind("G4", "The time between branch deletion and branch creation in a repository", "github",
 		true, true, false, q,
 		func(key string, deltas []int64) string {
 			if len(deltas) == 0 {

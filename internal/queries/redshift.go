@@ -23,10 +23,10 @@ type r1State struct {
 
 func (s *r1State) Fields() []sym.Value { return []sym.Value{&s.Count} }
 
-// R1 counts impressions per advertiser — counting written as a UDA, the
+// r1 binds the query that counts impressions per advertiser — counting written as a UDA, the
 // paper's canonical example of an aggregation systems normally special-
 // case but SYMPLE parallelizes automatically.
-func R1() *Spec {
+func r1() *Spec {
 	q := &core.Query[*r1State, struct{}, int64]{
 		Name: "R1",
 		GroupBy: func(rec []byte) (string, struct{}, bool) {
@@ -45,7 +45,7 @@ func R1() *Spec {
 		DecodeEvent: func(d *wire.Decoder) (struct{}, error) { return struct{}{}, d.Err() },
 	}
 	q.GroupByBatch = makeGroupByBatch(q.GroupBy, compileR1)
-	return makeSpec("R1", "Number of impressions per advertiser", "redshift",
+	return bind("R1", "Number of impressions per advertiser", "redshift",
 		false, true, false, q,
 		func(key string, count int64) string { return fmt.Sprintf("%s:%d", key, count) })
 }
@@ -66,8 +66,8 @@ func (s *r2State) Fields() []sym.Value {
 	return []sym.Value{&s.Country, &s.Multi, &s.Count}
 }
 
-// R2 lists advertisers whose every impression is in one country.
-func R2() *Spec {
+// r2 binds the query that lists advertisers whose every impression is in one country.
+func r2() *Spec {
 	q := &core.Query[*r2State, int64, string]{
 		Name: "R2",
 		GroupBy: func(rec []byte) (string, int64, bool) {
@@ -107,7 +107,7 @@ func R2() *Spec {
 		DecodeEvent: func(d *wire.Decoder) (int64, error) { return int64(d.Uvarint()), d.Err() },
 	}
 	q.GroupByBatch = makeGroupByBatch(q.GroupBy, compileR2)
-	return makeSpec("R2", "List of advertisers operating only in a single country", "redshift",
+	return bind("R2", "List of advertisers operating only in a single country", "redshift",
 		true, true, false, q,
 		func(key string, country string) string {
 			if country == "" {
@@ -131,9 +131,9 @@ type r3State struct {
 
 func (s *r3State) Fields() []sym.Value { return []sym.Value{&s.LastTs, &s.Out} }
 
-// R3 reports, per advertiser, the cases when its ads were not showing
+// r3 binds the query that reports, per advertiser, the cases when its ads were not showing
 // for more than 1 hour.
-func R3() *Spec {
+func r3() *Spec {
 	q := &core.Query[*r3State, int64, []int64]{
 		Name: "R3",
 		GroupBy: func(rec []byte) (string, int64, bool) {
@@ -157,7 +157,7 @@ func R3() *Spec {
 		DecodeEvent: func(d *wire.Decoder) (int64, error) { return d.Varint(), d.Err() },
 	}
 	q.GroupByBatch = makeGroupByBatch(q.GroupBy, compileR3)
-	return makeSpec("R3", "Cases for advertiser when their ads were not showing for more than 1 hour", "redshift",
+	return bind("R3", "Cases for advertiser when their ads were not showing for more than 1 hour", "redshift",
 		false, true, false, q,
 		func(key string, gaps []int64) string {
 			if len(gaps) == 0 {
@@ -181,9 +181,9 @@ func (s *r4State) Fields() []sym.Value {
 	return []sym.Value{&s.Cur, &s.Len, &s.Out}
 }
 
-// R4 reports, per advertiser, the length of each maximal run of
+// r4 binds the query that reports, per advertiser, the length of each maximal run of
 // impressions showing a single campaign.
-func R4() *Spec {
+func r4() *Spec {
 	q := &core.Query[*r4State, int64, []int64]{
 		Name: "R4",
 		GroupBy: func(rec []byte) (string, int64, bool) {
@@ -224,7 +224,7 @@ func R4() *Spec {
 		DecodeEvent: func(d *wire.Decoder) (int64, error) { return int64(d.Uvarint()), d.Err() },
 	}
 	q.GroupByBatch = makeGroupByBatch(q.GroupBy, compileR4)
-	return makeSpec("R4", "Lengths of runs for which only a single campaign by an advertiser is shown", "redshift",
+	return bind("R4", "Lengths of runs for which only a single campaign by an advertiser is shown", "redshift",
 		true, true, false, q,
 		func(key string, runs []int64) string {
 			if len(runs) == 0 {

@@ -10,9 +10,12 @@ package queries
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/mapreduce"
 	"repro/internal/sym"
@@ -43,8 +46,7 @@ type Spec struct {
 	Symple     func(segs []*mapreduce.Segment, conf mapreduce.Config) (*Run, error)
 
 	// SympleWithOptions runs the SYMPLE engine with explicit symbolic
-	// engine options (for the merging / path-cap ablations). Not safe to
-	// call concurrently with the other runners.
+	// engine options (for the merging / path-cap ablations).
 	SympleWithOptions func(segs []*mapreduce.Segment, conf mapreduce.Config, opts sym.Options) (*Run, error)
 
 	// SympleOpts runs the SYMPLE engine with explicit runtime options
@@ -103,13 +105,35 @@ func digestResults[R any](results map[string]R, format func(key string, r R) str
 	return h.Sum64(), len(lines)
 }
 
-// makeSpec wraps a typed query into a Spec.
-func makeSpec[S sym.State, E, R any](
+// binding is one query bound once per process: the typed query, its
+// one compiled schema and its result format. It is the query's entry in
+// the cluster query table — a cluster.Binding (map side and owner fold
+// for workers) that is also a serve.Runner (schema key and fold
+// sessions for the query service) — and every Spec runner closes over
+// it. A schema is safe for concurrent use, so every mapper, owner fold
+// and serve session of the query shares one bounded set of pools.
+type binding[S sym.State, E, R any] struct {
+	id     string
+	q      *core.Query[S, E, R]
+	format func(key string, r R) string
+	sc     *sym.Schema[S]
+}
+
+// bind compiles a typed query's schema, registers the binding in the
+// cluster query table and wraps it into a Spec. bound calls it once per
+// query per process.
+func bind[S sym.State, E, R any](
 	id, desc, dataset string,
 	usesEnum, usesInt, usesPred bool,
 	q *core.Query[S, E, R],
 	format func(key string, r R) string,
 ) *Spec {
+	sc, err := sym.NewSchema(q.NewState)
+	if err != nil {
+		panic(fmt.Sprintf("query %s: %v", id, err)) // the 12 states are fixed; a bad one is a build bug
+	}
+	b := &binding[S, E, R]{id: id, q: q, format: format, sc: sc}
+	cluster.Register(id, b)
 	wrap := func(out *core.Output[R], err error) (*Run, error) {
 		if err != nil {
 			return nil, fmt.Errorf("query %s: %w", id, err)
@@ -117,10 +141,6 @@ func makeSpec[S sym.State, E, R any](
 		d, n := digestResults(out.Results, format)
 		return &Run{Digest: d, NumResults: n, Metrics: out.Metrics, Sym: out.Sym}, nil
 	}
-	// Publish the map side for cluster workers (see cluster.go) and the
-	// fold side for the query service (see serve.go).
-	registerClusterJob(id, q)
-	registerServeQuery(id, q, format)
 	return &Spec{
 		ID: id, Description: desc, Dataset: dataset,
 		UsesEnum: usesEnum, UsesInt: usesInt, UsesPred: usesPred,
@@ -134,16 +154,15 @@ func makeSpec[S sym.State, E, R any](
 			return wrap(core.RunSymple(q, segs, conf))
 		},
 		SympleWithOptions: func(segs []*mapreduce.Segment, conf mapreduce.Config, opts sym.Options) (*Run, error) {
-			saved := q.Options
-			q.Options = opts
-			defer func() { q.Options = saved }()
-			return wrap(core.RunSymple(q, segs, conf))
+			qc := *q // the query is shared: run on a copy
+			qc.Options = opts
+			return wrap(core.RunSymple(&qc, segs, conf))
 		},
 		SympleOpts: func(segs []*mapreduce.Segment, conf mapreduce.Config, opt core.SympleOptions) (*Run, error) {
 			return wrap(core.RunSympleOpts(q, segs, conf, opt))
 		},
 		ComposeCheck: func(segs []*mapreduce.Segment, splits int) (*ComposeReport, error) {
-			return composeCheck(q, format, segs, splits)
+			return b.composeCheck(segs, splits)
 		},
 	}
 }
@@ -163,16 +182,8 @@ func makeSpec[S sym.State, E, R any](
 // §5.4 determinism contract promises. Groups whose composition trips a
 // path cap are skipped (the engines fall back to uncombined lists there)
 // and counted in the report.
-func composeCheck[S sym.State, E, R any](
-	q *core.Query[S, E, R],
-	format func(key string, r R) string,
-	segs []*mapreduce.Segment,
-	splits int,
-) (*ComposeReport, error) {
-	sc, err := sym.NewSchema(q.NewState)
-	if err != nil {
-		return nil, err
-	}
+func (b *binding[S, E, R]) composeCheck(segs []*mapreduce.Segment, splits int) (*ComposeReport, error) {
+	q, format := b.q, b.format
 	if splits < 1 {
 		splits = 1
 	}
@@ -193,7 +204,7 @@ func composeCheck[S sym.State, E, R any](
 		}
 	}
 	rep := &ComposeReport{}
-	x := sym.NewSchemaExecutor(sc, q.Update, q.Options)
+	x := sym.NewSchemaExecutor(b.sc, q.Update, q.Options)
 	fresh := true
 	for _, key := range order {
 		evs := events[key]
@@ -348,19 +359,33 @@ func formatInts(vs []int64) string {
 	return strings.Join(parts, ",")
 }
 
-// All returns every query spec, in Table 1 order.
-func All() []*Spec {
-	return []*Spec{
-		G1(), G2(), G3(), G4(),
-		B1(), B2(), B3(),
-		T1(),
-		R1(), R2(), R3(), R4(),
-	}
+var (
+	bindOnce sync.Once
+	specs    []*Spec
+)
+
+// bound binds every query on first use — one schema and one query-table
+// entry per query for the life of the process — and returns the specs
+// in Table 1 order.
+func bound() []*Spec {
+	bindOnce.Do(func() {
+		specs = []*Spec{
+			g1(), g2(), g3(), g4(),
+			b1(), b2(), b3(),
+			t1(),
+			r1(), r2(), r3(), r4(),
+		}
+	})
+	return specs
 }
+
+// All returns every query spec, in Table 1 order. The specs are shared
+// by the whole process; the slice is the caller's.
+func All() []*Spec { return slices.Clone(bound()) }
 
 // ByID returns the query with the given ID, or nil.
 func ByID(id string) *Spec {
-	for _, s := range All() {
+	for _, s := range bound() {
 		if s.ID == id {
 			return s
 		}

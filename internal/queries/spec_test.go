@@ -1,6 +1,8 @@
 package queries
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/data"
@@ -49,7 +51,7 @@ func TestFormatInts(t *testing.T) {
 }
 
 func TestSympleWithOptionsRestoresDefaults(t *testing.T) {
-	spec := G1()
+	spec := ByID("G1")
 	segs := data.GenGithub(data.GithubConfig{Records: 500, Repos: 20, Segments: 2, Seed: 33})
 	conf := mapreduce.Config{NumReducers: 1}
 	base, err := spec.Symple(segs, conf)
@@ -72,6 +74,54 @@ func TestSympleWithOptionsRestoresDefaults(t *testing.T) {
 	}
 	if again.Sym.Restarts != base.Sym.Restarts {
 		t.Fatalf("options leaked: restarts %d vs %d", again.Sym.Restarts, base.Sym.Restarts)
+	}
+}
+
+// TestSympleWithOptionsConcurrent runs an options run of a shared spec
+// concurrently with default runs of the same spec: under -race this
+// catches any runner that writes the shared typed query, and each run
+// must still produce the digest it produces alone.
+func TestSympleWithOptionsConcurrent(t *testing.T) {
+	spec := ByID("B2")
+	segs := data.GenBing(data.BingConfig{Records: 2000, Users: 50, Geos: 6, Segments: 3, Seed: 34, Outages: 3})
+	conf := mapreduce.Config{NumReducers: 2}
+	tight := sym.Options{MaxLivePaths: 1, DisableMerging: true}
+	base, err := spec.Symple(segs, conf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forced, err := spec.SympleWithOptions(segs, conf, tight)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rounds = 4
+	var wg sync.WaitGroup
+	errs := make(chan error, 2*rounds)
+	for range rounds {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			r, err := spec.SympleWithOptions(segs, conf, tight)
+			if err == nil && r.Digest != forced.Digest {
+				err = fmt.Errorf("options run digest %x, alone %x", r.Digest, forced.Digest)
+			}
+			errs <- err
+		}()
+		go func() {
+			defer wg.Done()
+			r, err := spec.Symple(segs, conf)
+			if err == nil && r.Digest != base.Digest {
+				err = fmt.Errorf("default run digest %x, alone %x", r.Digest, base.Digest)
+			}
+			errs <- err
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Error(err)
+		}
 	}
 }
 

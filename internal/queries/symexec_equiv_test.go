@@ -61,14 +61,14 @@ func TestSympleOptsEquivalence(t *testing.T) {
 // still miss and hit the memo between runs.
 func TestSympleOptsMemoStats(t *testing.T) {
 	segs := smallDatasets(4)["redshift"]
-	on, err := R1().SympleOpts(segs, mapreduce.Config{NumReducers: 3}, core.SympleOptions{})
+	on, err := ByID("R1").SympleOpts(segs, mapreduce.Config{NumReducers: 3}, core.SympleOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if on.Sym.MemoHits == 0 {
 		t.Fatalf("R1 with memo reported no hits: %+v", on.Sym)
 	}
-	off, err := R1().SympleOpts(segs, mapreduce.Config{NumReducers: 3}, core.SympleOptions{MemoSize: -1})
+	off, err := ByID("R1").SympleOpts(segs, mapreduce.Config{NumReducers: 3}, core.SympleOptions{MemoSize: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

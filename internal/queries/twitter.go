@@ -25,10 +25,10 @@ func (s *t1State) Fields() []sym.Value {
 	return []sym.Value{&s.Done, &s.Clean, &s.Run, &s.Out}
 }
 
-// T1 measures spam learning speed: per hashtag, the number of tweets not
+// t1 binds the query that measures spam learning speed: per hashtag, the number of tweets not
 // marked as spam before the filter produced at least 5 consecutive
 // spam-marked tweets.
-func T1() *Spec {
+func t1() *Spec {
 	q := &core.Query[*t1State, int64, []int64]{
 		Name: "T1",
 		GroupBy: func(rec []byte) (string, int64, bool) {
@@ -66,7 +66,7 @@ func T1() *Spec {
 		DecodeEvent: func(d *wire.Decoder) (int64, error) { return int64(d.Uvarint()), d.Err() },
 	}
 	q.GroupByBatch = makeGroupByBatch(q.GroupBy, compileT1)
-	return makeSpec("T1", "Spam learning speed — no. queries not marked as spam, followed by at least 5 queries marked as spam per hashtag", "twitter",
+	return bind("T1", "Spam learning speed — no. queries not marked as spam, followed by at least 5 queries marked as spam per hashtag", "twitter",
 		true, true, false, q,
 		func(key string, counts []int64) string {
 			if len(counts) == 0 {

@@ -19,13 +19,7 @@
 // rejection) keeps one tenant from starving the rest.
 package serve
 
-import (
-	"sort"
-	"sync"
-
-	"repro/internal/mapreduce"
-	"repro/internal/obs"
-)
+import "repro/internal/cluster"
 
 // Result is one fold's observable outcome, mirroring queries.Run: the
 // order-insensitive digest of the formatted result lines and the count
@@ -59,10 +53,18 @@ type Session interface {
 	Freeze() Fold
 }
 
-// Runner folds one registered query. Implementations live in
+// Runner folds one query. It is the serve side of the query's
+// cluster.Binding: the service resolves a job's query through
+// cluster.Lookup, the process's one query table, and serves it iff the
+// binding also implements Runner. Implementations live in
 // internal/queries, which holds the typed Query values; the service
 // itself is query-agnostic.
 type Runner interface {
+	// Binding supplies the map side of a cold run: Mapper with
+	// cluster.JobSpec{Query: id} is exactly the mapper a worker and the
+	// in-process SYMPLE engine run under default options, so the bundles
+	// a serve job caches are the bytes a batch run shuffles.
+	cluster.Binding
 	// SchemaKey names the query schema for cache keying: two jobs share
 	// cached bundles and standing folds iff their SchemaKeys match. It
 	// must change when anything that affects map output changes (query
@@ -70,44 +72,14 @@ type Runner interface {
 	// carries columns does not count: it changes how the mapper groups,
 	// not what it emits.
 	SchemaKey() string
-	// Mapper builds a fresh engine map function for one cold run —
-	// exactly the mapper the in-process SYMPLE engine would use, so the
-	// bundles a serve job caches are the bytes a batch run shuffles.
-	// trace receives the run's map spans; it may be nil.
-	Mapper(trace *obs.Trace) (mapreduce.MapFunc, error)
 	// Resume starts a session from prev, or from the empty dataset when
 	// prev is nil. prev must come from this runner.
 	Resume(prev Fold) (Session, error)
 }
 
-var (
-	regMu   sync.RWMutex
-	runners = map[string]Runner{}
-)
-
-// Register publishes the runner for a query ID, replacing any previous
-// registration (queries re-register on every Spec construction).
-func Register(id string, r Runner) {
-	regMu.Lock()
-	runners[id] = r
-	regMu.Unlock()
-}
-
-// Lookup returns the registered runner, or nil.
-func Lookup(id string) Runner {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	return runners[id]
-}
-
-// RegisteredQueries returns the registered query IDs, sorted.
-func RegisteredQueries() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	ids := make([]string, 0, len(runners))
-	for id := range runners {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
+// lookupRunner resolves a query ID to its runner, or nil when no
+// binding serves it.
+func lookupRunner(query string) Runner {
+	r, _ := cluster.Lookup(query).(Runner)
+	return r
 }

@@ -23,8 +23,8 @@ import (
 	"repro/internal/serve"
 )
 
-// TestMain forces the query specs into existence once, which registers
-// every query's fold runner in the serve registry.
+// TestMain binds every query once, which puts each query's fold runner
+// in the cluster query table the service resolves jobs through.
 func TestMain(m *testing.M) {
 	queries.RegisterClusterJobs()
 	os.Exit(m.Run())

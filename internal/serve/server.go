@@ -268,7 +268,7 @@ func (s *Server) handleSubmit(ctx context.Context, fc *cluster.FrameConn, sub cl
 		reject("missing tenant")
 		return
 	}
-	runner := Lookup(sub.Query)
+	runner := lookupRunner(sub.Query)
 	if runner == nil {
 		reject("unknown query " + sub.Query)
 		return
@@ -542,7 +542,7 @@ func (s *Server) foldTo(ctx context.Context, jt *obs.Trace, runner Runner, query
 func (s *Server) mapSegments(ctx context.Context, jt *obs.Trace, runner Runner, query string,
 	segs []*mapreduce.Segment) ([]*Bundles, error) {
 	et := jt.Fork()
-	mapFn, err := runner.Mapper(et)
+	mapFn, err := runner.Mapper(cluster.JobSpec{Query: query}, et)
 	if err != nil {
 		return nil, err
 	}

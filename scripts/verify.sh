@@ -42,4 +42,10 @@ go test -count=1 -run 'TestFuzzSeedFrameCorpus|TestFrameDecodeRejectsCorruption|
 # registry fails its self-check. CI's `traced` job runs the wide form
 # (-count=2 -shuffle=on).
 OBS_VERIFY=1 go test -count=1 ./internal/mapreduce ./internal/core ./internal/queries
+# Benchmark leg: perfbench is its own module linking the exported
+# entry points (query specs and bindings, SympleOptions, cluster pools,
+# serve.Config/New), so a refactor that breaks them fails here rather
+# than only in a benchmark run. No vet: the module's copylocks finding
+# is left to the next benchmark change.
+(cd perfbench && go build ./... && go test ./...)
 echo "verify: OK"
