@@ -80,7 +80,7 @@ func checkGoroutineLeaks(t *testing.T) {
 
 // startWorkers runs n in-process loopback workers; cleanup asserts each
 // drained its connections and its accept loop exited.
-func startWorkers(t *testing.T, n int) []cluster.Endpoint {
+func startWorkers(t testing.TB, n int) []cluster.Endpoint {
 	t.Helper()
 	eps := make([]cluster.Endpoint, n)
 	for i := 0; i < n; i++ {

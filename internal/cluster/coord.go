@@ -31,9 +31,13 @@ import (
 // Segments are content-addressed: once a worker has acknowledged an
 // attempt over some segment, later attempts ship only the digest, and
 // a worker whose cache was lost answers need-segment to get one
-// payload re-ship.
+// payload re-ship. The record of what each worker holds lives on its
+// Endpoint (segcache.go), not the pool, so it outlives the job: a pool
+// opened per job over warm workers places each task on a worker that
+// holds its segment and ships digests only.
 
-// Endpoint is one worker the pool can (re)connect to.
+// Endpoint is one worker the pool can (re)connect to. Endpoints come
+// from Dial or SpawnWorker(s).
 type Endpoint interface {
 	// Connect establishes a fresh transport connection to the worker.
 	Connect(ctx context.Context) (net.Conn, error)
@@ -42,10 +46,16 @@ type Endpoint interface {
 	Addr() string
 	// Close releases the endpoint (kills a spawned worker process).
 	Close() error
+	// residency is the hint of which segments the worker caches,
+	// shared by every pool over the endpoint.
+	residency() *residency
 }
 
 // dialEndpoint connects to an already-listening worker address.
-type dialEndpoint struct{ addr string }
+type dialEndpoint struct {
+	addr string
+	res  residency
+}
 
 // Dial returns an endpoint for a worker listening on addr.
 func Dial(addr string) Endpoint { return &dialEndpoint{addr: addr} }
@@ -59,6 +69,8 @@ func (e *dialEndpoint) Connect(ctx context.Context) (net.Conn, error) {
 func (e *dialEndpoint) Addr() string { return e.addr }
 
 func (e *dialEndpoint) Close() error { return nil }
+
+func (e *dialEndpoint) residency() *residency { return &e.res }
 
 // workerConn is one leased connection to a worker.
 type workerConn struct {
@@ -117,9 +129,8 @@ type Pool struct {
 	closed     bool
 	live       int
 	conns      map[*workerConn]struct{}
-	lastEp     map[int]Endpoint             // task → endpoint of the latest dispatched attempt
-	epSegs     map[Endpoint]map[uint64]bool // segments acknowledged cached per endpoint
-	segs       map[int]*mapreduce.Segment   // task → segment, retained for w2w refills
+	lastEp     map[int]Endpoint           // task → endpoint of the latest dispatched attempt
+	segs       map[int]*mapreduce.Segment // task → segment, retained for w2w refills
 	placements []Placement
 	procs      map[string]int // worker addr → GOMAXPROCS, from map-done
 
@@ -130,7 +141,9 @@ type Pool struct {
 	connOut   atomic.Int64
 	shuffleIn atomic.Int64
 
-	wg sync.WaitGroup // background redials
+	ctx    context.Context // cancelled by Close, ending background redials
+	cancel context.CancelFunc
+	wg     sync.WaitGroup // background redials
 }
 
 // PoolOption configures NewPool.
@@ -178,12 +191,12 @@ func NewPool(spec JobSpec, endpoints []Endpoint, opts ...PoolOption) (*Pool, err
 		dead:      make(chan struct{}),
 		conns:     map[*workerConn]struct{}{},
 		lastEp:    map[int]Endpoint{},
-		epSegs:    map[Endpoint]map[uint64]bool{},
 		segs:      map[int]*mapreduce.Segment{},
 		procs:     map[string]int{},
 		rconns:    map[int]*ownerConn{},
 		live:      len(endpoints),
 	}
+	p.ctx, p.cancel = context.WithCancel(context.Background())
 	for i, ep := range endpoints {
 		p.epIndex[ep] = i
 		p.addrs = append(p.addrs, ep.Addr())
@@ -200,7 +213,7 @@ func NewPool(spec JobSpec, endpoints []Endpoint, opts ...PoolOption) (*Pool, err
 			p.owners[i] = i % len(endpoints)
 		}
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	ctx, cancel := context.WithTimeout(p.ctx, 30*time.Second)
 	defer cancel()
 	for _, ep := range endpoints {
 		w, err := p.connect(ctx, ep)
@@ -232,7 +245,9 @@ func (c *countingConn) Write(b []byte) (int, error) {
 }
 
 // connect opens and handshakes one worker connection, registering it
-// for Close.
+// for Close. ctx bounds the hello exchange as well as the dial: a worker
+// that accepts but never answers must not hang NewPool, or a redial
+// and with it Close.
 func (p *Pool) connect(ctx context.Context, ep Endpoint) (*workerConn, error) {
 	raw, err := ep.Connect(ctx)
 	if err != nil {
@@ -240,26 +255,18 @@ func (p *Pool) connect(ctx context.Context, ep Endpoint) (*workerConn, error) {
 	}
 	conn := net.Conn(&countingConn{Conn: raw, p: p})
 	w := &workerConn{ep: ep, conn: conn, fr: newFrameReader(conn), fw: newFrameWriter(conn)}
-	if err := w.fw.write(FrameHello, encodeHello()); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("cluster: hello send: %w", err)
+	// Expiry or cancellation fails the exchange's pending read or write
+	// through a deadline in the past.
+	stop := context.AfterFunc(ctx, func() { _ = raw.SetDeadline(time.Unix(1, 0)) })
+	err = hello(w)
+	if !stop() && err == nil {
+		err = ctx.Err() // the deadline is set, or about to be
 	}
-	f, err := w.fr.next()
 	if err != nil {
 		conn.Close()
-		return nil, fmt.Errorf("cluster: hello reply: %w", err)
-	}
-	if f.Type == FrameError {
-		msg, _ := decodeError(f.Payload)
-		conn.Close()
-		return nil, fmt.Errorf("cluster: worker rejected hello: %s", msg)
-	}
-	if f.Type != FrameHello {
-		conn.Close()
-		return nil, fmt.Errorf("%w: expected hello reply, got frame type %d", ErrFrame, f.Type)
-	}
-	if _, err := DecodeHello(f.Payload); err != nil {
-		conn.Close()
+		if ctx.Err() != nil {
+			return nil, fmt.Errorf("cluster: hello exchange: %w", ctx.Err())
+		}
 		return nil, err
 	}
 	p.mu.Lock()
@@ -271,6 +278,26 @@ func (p *Pool) connect(ctx context.Context, ep Endpoint) (*workerConn, error) {
 	p.conns[w] = struct{}{}
 	p.mu.Unlock()
 	return w, nil
+}
+
+// hello runs the coordinator side of the hello exchange on w.
+func hello(w *workerConn) error {
+	if err := w.fw.write(FrameHello, encodeHello()); err != nil {
+		return fmt.Errorf("cluster: hello send: %w", err)
+	}
+	f, err := w.fr.next()
+	if err != nil {
+		return fmt.Errorf("cluster: hello reply: %w", err)
+	}
+	if f.Type == FrameError {
+		msg, _ := decodeError(f.Payload)
+		return fmt.Errorf("cluster: worker rejected hello: %s", msg)
+	}
+	if f.Type != FrameHello {
+		return fmt.Errorf("%w: expected hello reply, got frame type %d", ErrFrame, f.Type)
+	}
+	_, err = DecodeHello(f.Payload)
+	return err
 }
 
 // acquire leases a worker connection for an attempt of task, preferring
@@ -308,7 +335,7 @@ drain:
 		if last != nil && w.ep != last {
 			score += 2 // anti-affinity to the previous attempt's worker
 		}
-		if digest != 0 && p.epSegs[w.ep][digest] {
+		if w.ep.residency().holds(digest) {
 			score++ // cache affinity: the segment is already resident
 		}
 		if score > bestScore {
@@ -347,10 +374,9 @@ func (p *Pool) retire(w *workerConn) {
 	w.conn.Close()
 	p.mu.Lock()
 	delete(p.conns, w)
-	// The worker (re)starting means its segment cache may be gone;
-	// forget what we believed it held so the next assignment ships the
-	// payload rather than a digest the worker cannot resolve.
-	delete(p.epSegs, w.ep)
+	// The endpoint's residency hint survives: the worker may well still
+	// hold its segments, and if it lost them its need-segment reply
+	// costs one re-ship of just the segment it was asked for.
 	if p.closed {
 		p.mu.Unlock()
 		return
@@ -367,7 +393,7 @@ func (p *Pool) retire(w *workerConn) {
 			if closed {
 				return
 			}
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			ctx, cancel := context.WithTimeout(p.ctx, 5*time.Second)
 			nw, err := p.connect(ctx, w.ep)
 			cancel()
 			if err == nil {
@@ -405,6 +431,7 @@ func (p *Pool) Close() error {
 		return nil
 	}
 	p.closed = true
+	p.cancel()
 	for w := range p.conns {
 		w.conn.Close()
 	}
@@ -504,22 +531,73 @@ func segmentDigest(seg *mapreduce.Segment) uint64 {
 	return h
 }
 
-// markCached records that ep acknowledged an attempt over digest, so
-// future assignments can go digest-only.
-func (p *Pool) markCached(ep Endpoint, digest uint64, procs int) {
-	p.mu.Lock()
-	if digest != 0 {
-		m := p.epSegs[ep]
-		if m == nil {
-			m = map[uint64]bool{}
-			p.epSegs[ep] = m
+// newAssign builds the assignment of one attempt of task over seg for
+// the worker behind w: no injected faults, not a refill, and, in the
+// w2w topology, the job's ownership tables.
+func (p *Pool) newAssign(w *workerConn, task, attempt int, seg *mapreduce.Segment) *assignment {
+	a := &assignment{
+		spec: p.spec, task: task, attempt: attempt, abortAfter: -1,
+		segID: seg.ID, segDigest: segmentDigest(seg),
+		peerDropAfter: -1, refillPart: -1,
+	}
+	if p.w2w {
+		a.w2w = true
+		a.jobID = p.jobID
+		a.selfID = p.epIndex[w.ep]
+		a.owners = p.owners
+		a.addrs = p.addrs
+	}
+	return a
+}
+
+// attemptStream is one assignment's conversation with a worker, and
+// the only place the endpoint's residency hint changes: the
+// assignment carries the segment payload only when the worker is not
+// believed to hold it, a map-done reply records the segment as
+// resident, and a need-segment reply (the hint was stale) drops the
+// digest and re-ships the payload once on the same connection.
+type attemptStream struct {
+	w       *workerConn
+	a       *assignment
+	seg     *mapreduce.Segment
+	shipped bool // the payload went out on this stream
+}
+
+// sendAssign opens the attempt's stream by sending a to w.
+func sendAssign(w *workerConn, a *assignment, seg *mapreduce.Segment) (*attemptStream, error) {
+	s := &attemptStream{w: w, a: a, seg: seg}
+	return s, s.send(!w.ep.residency().holds(a.segDigest))
+}
+
+func (s *attemptStream) send(withPayload bool) error {
+	s.a.seg = nil
+	if withPayload {
+		s.a.seg, s.shipped = s.seg, true
+	}
+	return s.w.fw.write(FrameAssign, encodeAssign(s.a))
+}
+
+// next returns the attempt's next reply frame, handling need-segment.
+func (s *attemptStream) next() (Frame, error) {
+	for {
+		f, err := s.w.fr.next()
+		if err != nil {
+			return f, err
 		}
-		m[digest] = true
+		switch f.Type {
+		case FrameMapDone:
+			s.w.ep.residency().add(s.a.segDigest)
+		case FrameError:
+			if msg, derr := decodeError(f.Payload); derr == nil && isNeedSegment(msg) && !s.shipped {
+				s.w.ep.residency().drop(s.a.segDigest)
+				if err := s.send(true); err != nil {
+					return Frame{}, fmt.Errorf("re-sending assignment with payload: %w", err)
+				}
+				continue
+			}
+		}
+		return f, nil
 	}
-	if procs > 0 {
-		p.procs[ep.Addr()] = procs
-	}
-	p.mu.Unlock()
 }
 
 // RunMap implements mapreduce.RemoteMapper: execute one map attempt on
@@ -531,7 +609,6 @@ func (p *Pool) RunMap(ctx context.Context, task, attempt int, seg *mapreduce.Seg
 		// nearest equivalent worker-side death.
 		kind = ChaosWorkerAbort
 	}
-	digest := segmentDigest(seg)
 	if p.w2w {
 		// Retain the segment: a dead reduce owner is refilled by
 		// re-running this task's committed attempt.
@@ -539,7 +616,7 @@ func (p *Pool) RunMap(ctx context.Context, task, attempt int, seg *mapreduce.Seg
 		p.segs[task] = seg
 		p.mu.Unlock()
 	}
-	w, err := p.acquire(ctx, task, attempt, digest)
+	w, err := p.acquire(ctx, task, attempt, segmentDigest(seg))
 	if err != nil {
 		return nil, err
 	}
@@ -557,40 +634,20 @@ func (p *Pool) RunMap(ctx context.Context, task, attempt int, seg *mapreduce.Seg
 		}
 		return nil, err
 	}
-	p.mu.Lock()
-	hasPayload := digest == 0 || !p.epSegs[w.ep][digest]
-	p.mu.Unlock()
-	sendAssign := func(withPayload bool) error {
-		a := &assignment{
-			spec: p.spec, task: task, attempt: attempt, abortAfter: -1,
-			segID: seg.ID, segDigest: digest,
-			peerDropAfter: -1, refillPart: -1,
-		}
-		if withPayload {
-			a.seg = seg
-		}
-		if p.w2w {
-			a.w2w = true
-			a.jobID = p.jobID
-			a.selfID = p.epIndex[w.ep]
-			a.owners = p.owners
-			a.addrs = p.addrs
-		}
-		switch kind {
-		case ChaosWorkerAbort:
-			a.abortAfter = after
-		case ChaosPeerDrop:
-			a.peerDropAfter = after
-		}
-		return w.fw.write(FrameAssign, encodeAssign(a))
+	a := p.newAssign(w, task, attempt, seg)
+	switch kind {
+	case ChaosWorkerAbort:
+		a.abortAfter = after
+	case ChaosPeerDrop:
+		a.peerDropAfter = after
 	}
-	if err := sendAssign(hasPayload); err != nil {
+	st, err := sendAssign(w, a, seg)
+	if err != nil {
 		return fail(fmt.Errorf("cluster: sending assignment (task %d attempt %d): %w", task, attempt, err))
 	}
 	out := &mapreduce.MapOutput{}
-	resent := false
 	for {
-		f, err := w.fr.next()
+		f, err := st.next()
 		if err != nil {
 			return fail(fmt.Errorf("cluster: worker stream (task %d attempt %d): %w", task, attempt, err))
 		}
@@ -654,22 +711,17 @@ func (p *Pool) RunMap(ctx context.Context, task, attempt int, seg *mapreduce.Seg
 				p.retire(w)
 				return nil, ctx.Err()
 			}
-			p.markCached(w.ep, digest, m.procs)
+			if m.procs > 0 {
+				p.mu.Lock()
+				p.procs[w.ep.Addr()] = m.procs
+				p.mu.Unlock()
+			}
 			p.release(w)
 			return out, nil
 		case FrameError:
 			msg, derr := decodeError(f.Payload)
 			if derr != nil {
 				return fail(derr)
-			}
-			if isNeedSegment(msg) && !hasPayload && !resent {
-				// The worker's content cache lost the segment (restart,
-				// eviction): re-ship the payload once on the same conn.
-				resent, hasPayload = true, true
-				if err := sendAssign(true); err != nil {
-					return fail(fmt.Errorf("cluster: re-sending assignment with payload (task %d attempt %d): %w", task, attempt, err))
-				}
-				continue
 			}
 			// The worker reported a clean attempt failure; the conn is
 			// still synchronized and reusable.
@@ -840,8 +892,7 @@ func (p *Pool) refill(ctx context.Context, part int, missing []taskAttempt) erro
 }
 
 func (p *Pool) refillOne(ctx context.Context, part int, ta taskAttempt, seg *mapreduce.Segment) error {
-	digest := segmentDigest(seg)
-	w, err := p.acquire(ctx, ta.task, ta.attempt, digest)
+	w, err := p.acquire(ctx, ta.task, ta.attempt, segmentDigest(seg))
 	if err != nil {
 		return err
 	}
@@ -854,18 +905,14 @@ func (p *Pool) refillOne(ctx context.Context, part int, ta taskAttempt, seg *map
 		}
 		return err
 	}
-	a := &assignment{
-		spec: p.spec, task: ta.task, attempt: ta.attempt, abortAfter: -1,
-		w2w: true, jobID: p.jobID, selfID: p.epIndex[w.ep],
-		owners: p.owners, addrs: p.addrs,
-		peerDropAfter: -1, refillPart: part,
-		segID: seg.ID, segDigest: digest, seg: seg,
-	}
-	if err := w.fw.write(FrameAssign, encodeAssign(a)); err != nil {
+	a := p.newAssign(w, ta.task, ta.attempt, seg)
+	a.refillPart = part
+	st, err := sendAssign(w, a, seg)
+	if err != nil {
 		return fail(fmt.Errorf("cluster: sending refill (task %d attempt %d part %d): %w", ta.task, ta.attempt, part, err))
 	}
 	for {
-		f, err := w.fr.next()
+		f, err := st.next()
 		if err != nil {
 			return fail(fmt.Errorf("cluster: refill stream (task %d attempt %d): %w", ta.task, ta.attempt, err))
 		}

@@ -36,7 +36,8 @@ import (
 // oldest is evicted (peers closed, runs dropped) when exceeded.
 const maxWorkerJobs = 8
 
-// maxCachedSegments caps the content-addressed segment cache.
+// maxCachedSegments caps the content-addressed segment cache (least
+// recently used out) and each endpoint's residency hint that mirrors it.
 const maxCachedSegments = 64
 
 // needSegmentPrefix opens the FrameError message a worker sends when a
@@ -54,9 +55,8 @@ type Worker struct {
 	jobs     map[uint64]*jobState
 	jobOrder []uint64
 
-	smu      sync.Mutex
-	segs     map[uint64]*mapreduce.Segment
-	segOrder []uint64
+	smu  sync.Mutex
+	segs digestLRU[*mapreduce.Segment]
 }
 
 // cachedMapper is one built map side plus the trace plumbing that
@@ -76,7 +76,6 @@ func NewWorker() *Worker {
 	return &Worker{
 		maps: map[JobSpec]*cachedMapper{},
 		jobs: map[uint64]*jobState{},
-		segs: map[uint64]*mapreduce.Segment{},
 	}
 }
 
@@ -96,15 +95,14 @@ func (w *Worker) Jobs() int {
 func (w *Worker) CachedSegments() int {
 	w.smu.Lock()
 	defer w.smu.Unlock()
-	return len(w.segs)
+	return w.segs.len()
 }
 
 // DropSegmentCache empties the segment cache — the test hook that
 // forces the need-segment re-ship path.
 func (w *Worker) DropSegmentCache() {
 	w.smu.Lock()
-	w.segs = map[uint64]*mapreduce.Segment{}
-	w.segOrder = w.segOrder[:0]
+	w.segs = digestLRU[*mapreduce.Segment]{}
 	w.smu.Unlock()
 }
 
@@ -265,38 +263,22 @@ func (w *Worker) dropJob(id uint64) {
 	}
 }
 
-// cacheSegment stores a segment under its content digest.
-func (w *Worker) cacheSegment(digest uint64, seg *mapreduce.Segment) {
-	if digest == 0 {
-		return
-	}
-	w.smu.Lock()
-	defer w.smu.Unlock()
-	if _, ok := w.segs[digest]; ok {
-		return
-	}
-	w.segs[digest] = seg
-	w.segOrder = append(w.segOrder, digest)
-	if len(w.segOrder) > maxCachedSegments {
-		evict := w.segOrder[0]
-		w.segOrder = append(w.segOrder[:0], w.segOrder[1:]...)
-		delete(w.segs, evict)
-	}
-}
-
 // resolveSegment produces the assignment's input segment: the attached
-// payload (cached for next time), or the digest cache. A cache miss on
-// a digest-only assignment is the need-segment error the coordinator
+// payload (cached for next time), or the digest cache. Either way the
+// segment becomes the cache's most recently used. A cache miss on a
+// digest-only assignment is the need-segment error the coordinator
 // answers by re-sending with the payload.
 func (w *Worker) resolveSegment(a *assignment) (*mapreduce.Segment, error) {
+	w.smu.Lock()
+	defer w.smu.Unlock()
 	if a.seg != nil {
-		w.cacheSegment(a.segDigest, a.seg)
+		if a.segDigest != 0 {
+			w.segs.put(a.segDigest, a.seg)
+		}
 		return a.seg, nil
 	}
-	w.smu.Lock()
-	seg := w.segs[a.segDigest]
-	w.smu.Unlock()
-	if seg == nil {
+	seg, ok := w.segs.get(a.segDigest)
+	if !ok {
 		return nil, fmt.Errorf("%s%016x", needSegmentPrefix, a.segDigest)
 	}
 	return seg, nil

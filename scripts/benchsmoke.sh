@@ -23,6 +23,10 @@ go test -run '^$' -bench 'BenchmarkColumnarParse$' -benchtime 200x ./internal/da
 # B3 re-submission through an in-process server over loopback.
 go test -run '^$' -bench 'BenchmarkSegmentDigest$' -benchtime 200x ./internal/mapreduce | tee -a "$OUT"
 go test -run '^$' -bench 'BenchmarkServeWarm$' -benchtime 2000x ./internal/serve | tee -a "$OUT"
+# Cluster path: one w2w G1 job per iteration through a fresh pool over
+# two in-process workers that earlier jobs already warmed (digest-only
+# assignments).
+go test -run '^$' -bench 'BenchmarkClusterWarmPoolJob$' -benchtime 50x ./internal/cluster | tee -a "$OUT"
 
 awk -v slack="$SLACK" '
 NR == FNR {
